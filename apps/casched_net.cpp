@@ -20,7 +20,6 @@
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/htm.hpp"
@@ -28,6 +27,7 @@
 #include "net/client_driver.hpp"
 #include "net/loopback.hpp"
 #include "net/server_daemon.hpp"
+#include "net/turn_wait.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "platform/calibration.hpp"
@@ -371,6 +371,7 @@ int runStats(int argc, const char* const* argv) {
 
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(args.getDouble("timeout"));
+  net::TurnWaiter waiter;
   while (std::chrono::steady_clock::now() < deadline &&
          !gStop.load(std::memory_order_relaxed)) {
     bool done = false;
@@ -391,7 +392,11 @@ int runStats(int argc, const char* const* argv) {
     });
     if (done) return rc;
     if (transport->closed()) throw util::IoError("agent closed the connection");
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    // Block until the reply's bytes arrive, the deadline passes or a signal
+    // interrupts the wait.
+    waiter.watch(transport);
+    waiter.wait(std::chrono::duration<double>(deadline - std::chrono::steady_clock::now())
+                    .count());
   }
   throw util::IoError("timed out waiting for the stats reply");
 }

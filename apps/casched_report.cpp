@@ -8,8 +8,7 @@
 ///   ./casched_report --json bench_out/suite.json
 ///   ./casched_report --compare bench_out/run_a.json,bench_out/run_b.json
 ///   ./casched_report --registry
-///   ./casched_report --json bench_out/rate_sweep_study.json \
-///       --update-docs EXPERIMENTS.md
+///   ./casched_report --json bench_out/rate_sweep_study.json --update-docs EXPERIMENTS.md
 
 #include <fstream>
 #include <iostream>

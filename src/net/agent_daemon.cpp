@@ -1,10 +1,9 @@
 #include "net/agent_daemon.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
 #include "core/htm_snapshot.hpp"
+#include "net/turn_wait.hpp"
 #include "obs/decision.hpp"
 #include "obs/http_export.hpp"
 #include "obs/metrics.hpp"
@@ -152,9 +151,16 @@ std::uint16_t AgentDaemon::metricsHttpPort() const {
 }
 
 void AgentDaemon::run(const std::atomic<bool>& stop) {
+  TurnWaiter waiter;
   while (!stop.load(std::memory_order_relaxed) && !shutdownRequested_) {
     runOnce();
-    std::this_thread::sleep_for(std::chrono::microseconds(500));
+    waiter.watch(listener_.fd());
+    for (const auto& [conn, since] : pending_) waiter.watch(conn);
+    for (const auto& [name, entry] : servers_) waiter.watch(entry.transport);
+    for (const auto& client : clients_) waiter.watch(client);
+    for (const PeerEntry& peer : peers_) waiter.watch(peer.transport);
+    if (metricsServer_) waiter.watch(metricsServer_->fd());
+    waiter.waitForTurn(sim_.nextEventTime(), clock_);
   }
 }
 

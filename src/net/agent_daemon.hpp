@@ -133,8 +133,9 @@ class AgentDaemon {
   /// drain every transport, apply heartbeat deadlines. Non-blocking.
   void runOnce();
 
-  /// Blocking loop for the CLI process; returns when `stop` becomes true or
-  /// a client sends kShutdown.
+  /// Blocking loop for the CLI process: runOnce() turns separated by a
+  /// TurnWaiter wait (turn_wait.hpp); returns when `stop` becomes true or a
+  /// client sends kShutdown.
   void run(const std::atomic<bool>& stop);
 
   cas::Agent& agent() { return agent_; }

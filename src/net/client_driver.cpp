@@ -1,9 +1,8 @@
 #include "net/client_driver.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
+#include "net/turn_wait.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 
@@ -364,10 +363,19 @@ bool ClientDriver::run(const workload::Metatask& metatask, double wallTimeoutSec
                        const std::atomic<bool>& stop) {
   start(metatask);
   const WallDeadline deadline(wallTimeoutSeconds);
+  TurnWaiter waiter;
   while (!done() && !stop.load(std::memory_order_relaxed)) {
     if (deadline.passed()) break;
     runOnce();
-    std::this_thread::sleep_for(std::chrono::microseconds(500));
+    for (const AgentLink& link : links_) waiter.watch(link.transport);
+    // The client has no simulator; its next event is the next arrival. One
+    // already due is waiting for a live link, which the idle bound re-tries.
+    double nextArrival = simcore::kTimeInfinity;
+    if (nextToSend_ < metatask_.tasks.size() &&
+        metatask_.tasks[nextToSend_].arrival > clock_.simNow()) {
+      nextArrival = metatask_.tasks[nextToSend_].arrival;
+    }
+    waiter.waitForTurn(nextArrival, clock_);
   }
   return done();
 }

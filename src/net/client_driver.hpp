@@ -90,8 +90,9 @@ class ClientDriver {
   /// re-submit failed-over tasks, drain terminal notices. Non-blocking.
   void runOnce();
 
-  /// Blocking replay for the CLI process: pumps until every task is
-  /// terminal, `stop` becomes true, or `wallTimeoutSeconds` elapses.
+  /// Blocking replay for the CLI process: runOnce() turns separated by a
+  /// TurnWaiter wait (turn_wait.hpp) until every task is terminal, `stop`
+  /// becomes true, or `wallTimeoutSeconds` elapses.
   /// Returns true when all tasks finished.
   bool run(const workload::Metatask& metatask, double wallTimeoutSeconds,
            const std::atomic<bool>& stop);

@@ -1,9 +1,8 @@
 #include "net/server_daemon.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
+#include "net/turn_wait.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
@@ -135,9 +134,11 @@ void NetServerDaemon::runOnce() {
 void NetServerDaemon::run(const std::atomic<bool>& stop) {
   // A closed link does not end the loop: maybeReconnect() re-dials until the
   // agent is back (or until the operator stops the daemon).
+  TurnWaiter waiter;
   while (!stop.load(std::memory_order_relaxed) && !shutdownRequested_ && !left_) {
     runOnce();
-    std::this_thread::sleep_for(std::chrono::microseconds(500));
+    waiter.watch(transport_);
+    waiter.waitForTurn(sim_.nextEventTime(), clock_);
   }
 }
 

@@ -71,8 +71,9 @@ class NetServerDaemon {
   /// agent link, finish a pending graceful departure. Non-blocking.
   void runOnce();
 
-  /// Blocking loop for the CLI process; returns when `stop` becomes true,
-  /// the agent sends kShutdown, or the link closes.
+  /// Blocking loop for the CLI process: runOnce() turns separated by a
+  /// TurnWaiter wait (turn_wait.hpp); returns when `stop` becomes true, the
+  /// agent sends kShutdown, or a graceful leave finished.
   void run(const std::atomic<bool>& stop);
 
   const std::string& name() const { return machine_.name(); }

@@ -24,6 +24,8 @@ class MetricsHttpServer {
   MetricsHttpServer& operator=(const MetricsHttpServer&) = delete;
 
   std::uint16_t port() const { return port_; }
+  /// The listening socket; readable while a scrape waits to be served.
+  int fd() const { return fd_; }
 
   /// Accepts and answers every connection ready right now; returns the
   /// number of requests served. Never blocks beyond a short per-request

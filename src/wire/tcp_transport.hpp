@@ -48,6 +48,8 @@ class TcpListener {
   TcpListener& operator=(const TcpListener&) = delete;
 
   std::uint16_t port() const { return port_; }
+  /// The listening socket; readable while a connection waits to be accepted.
+  int fd() const { return fd_; }
 
   /// Accepts one connection, waiting up to `timeoutMs`; nullptr on timeout.
   std::shared_ptr<TcpTransport> accept(int timeoutMs);

@@ -3,11 +3,20 @@
 // assertion runs on one thread. Covers heartbeat-timeout retirement, fault-
 // tolerant re-submission after a server crash mid-task, live churn, and
 // count-level agreement between a live loopback run and the simulator on the
-// same registry scenario.
+// same registry scenario. The TurnWait tests are the exception to the single
+// thread: they run the blocking run() loops on their own threads and observe
+// them only from outside (thread CPU clock, sockets, the stop flag).
 
 #include <gtest/gtest.h>
+#include <pthread.h>
 
+#include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <ctime>
+#include <exception>
 #include <functional>
 #include <set>
 #include <thread>
@@ -17,6 +26,7 @@
 #include "net/client_driver.hpp"
 #include "net/loopback.hpp"
 #include "net/server_daemon.hpp"
+#include "net/turn_wait.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "scenario/generate.hpp"
@@ -977,6 +987,213 @@ TEST(NetRuntime, ResolverLearnsPeersAndReranksPastADeadAgent) {
   EXPECT_EQ(client.failedCount(), 0u);
   EXPECT_GE(client.resolverStats().reranks, 1u);
   EXPECT_EQ(client.bestRankedLink(), 1u);  // the learned agent-b link
+}
+
+// --- event-driven daemon turns -------------------------------------------
+
+/// A daemon's blocking run() loop on its own thread, observed from outside:
+/// its CPU time comes from the thread CPU clock (as perfbench reads it), so
+/// nothing here touches daemon state while the loop runs.
+class DaemonThread {
+ public:
+  explicit DaemonThread(std::function<void(const std::atomic<bool>&)> body)
+      : thread_([this, body = std::move(body)] {
+          try {
+            body(stop_);
+          } catch (const std::exception& e) {
+            ADD_FAILURE() << "daemon run() loop threw: " << e.what();
+          }
+          returned_.store(true);
+        }) {}
+  ~DaemonThread() { stopAndJoin(); }
+  DaemonThread(const DaemonThread&) = delete;
+  DaemonThread& operator=(const DaemonThread&) = delete;
+
+  double cpuSeconds() {
+    clockid_t id{};
+    timespec ts{};
+    if (pthread_getcpuclockid(thread_.native_handle(), &id) != 0 ||
+        clock_gettime(id, &ts) != 0) {
+      ADD_FAILURE() << "cannot read the daemon thread's CPU clock";
+      return 0.0;
+    }
+    return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+  }
+
+  /// Share of one core the loop used over the next `wallSeconds`.
+  double coreShareOver(double wallSeconds) {
+    const double before = cpuSeconds();
+    std::this_thread::sleep_for(std::chrono::duration<double>(wallSeconds));
+    return (cpuSeconds() - before) / wallSeconds;
+  }
+
+  /// Raises the stop flag and joins; wall seconds until run() returned. A
+  /// loop that ignores the flag aborts the binary rather than hang it.
+  double stopAndJoin() {
+    if (!thread_.joinable()) return 0.0;
+    const auto t0 = PacedClock::WallClock::now();
+    stop_.store(true, std::memory_order_relaxed);
+    const WallDeadline deadline(5.0);
+    while (!returned_.load()) {
+      if (deadline.passed()) {
+        std::fprintf(stderr, "daemon run() loop ignored its stop flag for 5 s\n");
+        std::abort();
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    const double seconds =
+        std::chrono::duration<double>(PacedClock::WallClock::now() - t0).count();
+    thread_.join();
+    return seconds;
+  }
+
+ private:
+  std::atomic<bool> stop_{false};
+  std::atomic<bool> returned_{false};
+  std::thread thread_;  ///< last: started after the stop flag exists
+};
+
+constexpr double kIdleWindowSeconds = 0.3;
+constexpr double kMaxIdleCoreShare = 0.10;
+constexpr double kMaxStopSeconds = 0.05;
+
+TEST(TurnWait, TimeoutIsTheWallTimeToTheNextEventWithinTheIdleBound) {
+  // Already due (or exactly now): no wait at all.
+  EXPECT_EQ(turnTimeoutSeconds(5.0, 10.0, 100.0), 0.0);
+  EXPECT_EQ(turnTimeoutSeconds(10.0, 10.0, 100.0), 0.0);
+  // A future event: its simulated distance over the clock's scale.
+  EXPECT_DOUBLE_EQ(turnTimeoutSeconds(10.05, 10.0, 100.0), (10.05 - 10.0) / 100.0);
+  EXPECT_DOUBLE_EQ(turnTimeoutSeconds(3.0, 2.5, 1000.0), 0.5 / 1000.0);
+  // No event, or one further away than the bound: the idle bound.
+  EXPECT_EQ(turnTimeoutSeconds(simcore::kTimeInfinity, 10.0, 100.0), kIdleTurnBoundSeconds);
+  EXPECT_EQ(turnTimeoutSeconds(60.0, 0.0, 1.0), kIdleTurnBoundSeconds);
+  EXPECT_DOUBLE_EQ(kIdleTurnBoundSeconds, 0.001);
+  // Degenerate inputs never yield a negative or NaN wait.
+  const double inf = simcore::kTimeInfinity;
+  const double nan = std::nan("");
+  for (const double t : {inf, -inf, nan, 0.0, 1.0}) {
+    for (const double now : {inf, -inf, nan, 0.0, 1.0}) {
+      for (const double scale : {0.0, 1.0, 100.0, inf, nan}) {
+        const double wait = turnTimeoutSeconds(t, now, scale);
+        EXPECT_FALSE(std::isnan(wait)) << t << " " << now << " " << scale;
+        EXPECT_GE(wait, 0.0) << t << " " << now << " " << scale;
+        EXPECT_LE(wait, kIdleTurnBoundSeconds) << t << " " << now << " " << scale;
+      }
+    }
+  }
+}
+
+TEST(TurnWait, WaitEndsWhenAWatchedSocketTurnsReadableOrTheTimeoutElapses) {
+  const auto secondsSince = [](PacedClock::WallClock::time_point t0) {
+    return std::chrono::duration<double>(PacedClock::WallClock::now() - t0).count();
+  };
+  wire::TcpListener listener(0);
+  TurnWaiter waiter;
+
+  // Nothing readable: the full timeout passes.
+  auto t0 = PacedClock::WallClock::now();
+  waiter.watch(listener.fd());
+  waiter.wait(0.02);
+  EXPECT_GE(secondsSince(t0), 0.015);
+
+  // A pending connection makes the listener readable; the accepted side's
+  // schema hello makes the dialer's socket readable. Neither waits out 10 s.
+  auto dialer = wire::TcpTransport::connect("127.0.0.1", listener.port());
+  t0 = PacedClock::WallClock::now();
+  waiter.watch(listener.fd());
+  waiter.wait(10.0);
+  EXPECT_LT(secondsSince(t0), 5.0);
+  auto accepted = listener.accept(0);
+  ASSERT_NE(accepted, nullptr);
+  t0 = PacedClock::WallClock::now();
+  waiter.watch(dialer);
+  waiter.wait(10.0);
+  EXPECT_LT(secondsSince(t0), 5.0);
+
+  // A closed transport is never watched (its socket would read as ready).
+  accepted->close();
+  dialer->poll(nullptr);
+  ASSERT_TRUE(dialer->closed());
+  t0 = PacedClock::WallClock::now();
+  waiter.watch(dialer);
+  waiter.wait(0.02);
+  EXPECT_GE(secondsSince(t0), 0.015);
+}
+
+TEST(TurnWait, IdleAgentRunSleepsAndStopsPromptly) {
+  const PacedClock clock(1.0);
+  AgentDaemon agent(AgentDaemonConfig{}, clock);
+  DaemonThread loop([&](const std::atomic<bool>& stop) { agent.run(stop); });
+  EXPECT_LT(loop.coreShareOver(kIdleWindowSeconds), kMaxIdleCoreShare);
+  EXPECT_LT(loop.stopAndJoin(), kMaxStopSeconds);
+}
+
+TEST(TurnWait, IdleServerRunSleepsAndStopsPromptly) {
+  const PacedClock clock(1.0);  // no report or heartbeat falls due in the window
+  AgentDaemon agent(AgentDaemonConfig{}, clock);
+  NetServerConfig serverConfig;
+  serverConfig.agentPort = agent.port();
+  serverConfig.machine.name = "idle";
+  NetServerDaemon server(serverConfig, clock);
+  server.connect();
+  DaemonThread agentLoop([&](const std::atomic<bool>& stop) { agent.run(stop); });
+  DaemonThread serverLoop([&](const std::atomic<bool>& stop) { server.run(stop); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // registration settles
+  EXPECT_LT(serverLoop.coreShareOver(kIdleWindowSeconds), kMaxIdleCoreShare);
+  EXPECT_LT(serverLoop.stopAndJoin(), kMaxStopSeconds);
+  agentLoop.stopAndJoin();
+  EXPECT_TRUE(server.registered());
+  EXPECT_TRUE(agent.serverKnown("idle"));
+}
+
+TEST(TurnWait, RunRetiresASilentServerWithNoSocketTraffic) {
+  // Heartbeat deadlines are no simulator event and a silent server sends no
+  // bytes, so only the idle bound wakes the agent to retire it.
+  const PacedClock clock(1000.0);  // 50 simulated seconds pass in 50 wall ms
+  AgentDaemonConfig agentConfig;
+  agentConfig.heartbeatTimeout = 50.0;
+  AgentDaemon agent(agentConfig, clock);
+
+  auto stub = wire::TcpTransport::connect("127.0.0.1", agent.port());
+  wire::RegisterMsg reg;
+  reg.serverName = "silent";
+  reg.bwInMBps = 100.0;
+  reg.bwOutMBps = 100.0;
+  reg.ramMB = 1024.0;
+  reg.problems = {"*"};
+  stub->send(wire::MessageType::kRegister, wire::encode(reg));
+  DaemonThread loop([&](const std::atomic<bool>& stop) { agent.run(stop); });
+
+  // The stub reads its acknowledgement, then never sends again.
+  bool acked = false;
+  TurnWaiter waiter;
+  const WallDeadline ackDeadline(5.0);
+  while (!acked && !ackDeadline.passed()) {
+    waiter.watch(stub);
+    waiter.wait(0.01);
+    stub->poll([&](const wire::Frame& frame) {
+      if (frame.type == wire::MessageType::kRegisterAck) {
+        acked = wire::decodeRegisterAck(frame.payload).accepted;
+      }
+    });
+  }
+  ASSERT_TRUE(acked);
+
+  // Retirement closes the link, which the stub sees as end of stream.
+  const auto t0 = PacedClock::WallClock::now();
+  const double budget = agentConfig.heartbeatTimeout / clock.timeScale() + 0.25;
+  const WallDeadline retireDeadline(budget);
+  while (!stub->closed() && !retireDeadline.passed()) {
+    waiter.watch(stub);
+    waiter.wait(0.01);
+    stub->poll(nullptr);
+  }
+  const double elapsed =
+      std::chrono::duration<double>(PacedClock::WallClock::now() - t0).count();
+  EXPECT_TRUE(stub->closed()) << "agent never retired the silent server";
+  EXPECT_LT(elapsed, budget);
+  loop.stopAndJoin();
+  EXPECT_TRUE(agent.serverRetired("silent"));
 }
 
 }  // namespace
