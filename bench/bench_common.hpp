@@ -1,10 +1,11 @@
 #pragma once
 /// \file bench_common.hpp
-/// Shared CLI wiring for the bench executables. Every experiment spec -
-/// testbeds, rates, noise, heuristic sets, sweep axes, table titles - lives
-/// in the scenario registry (src/scenario/registry.cpp, see EXPERIMENTS.md);
-/// a bench is just a registry name run through the exp::Suite driver, so the
-/// flags here are suite-level overrides only.
+/// Shared CLI wiring for the suite bench executables (bench_suite,
+/// scenario_matrix). Every experiment spec - testbeds, rates, noise,
+/// heuristic sets, sweep axes, table titles - lives in the scenario registry
+/// (src/scenario/registry.cpp, see EXPERIMENTS.md); one scenario is
+/// `bench_suite --scenarios <name>`, so the flags here are suite-level
+/// overrides only.
 
 #include <iostream>
 #include <string>
@@ -87,31 +88,6 @@ inline void printSuiteScenario(const exp::SuiteScenarioResult& s) {
       "\n[perf] %s: %.0f events/s (%llu events in %.2fs)\n", s.scenario.c_str(),
       s.eventsPerSecond(), static_cast<unsigned long long>(s.simulatedEvents),
       s.wallSeconds);
-}
-
-/// The whole body of a single-scenario bench binary: parse overrides, run
-/// the registry scenario through the suite, print and archive the outputs.
-inline int runRegistryBench(const std::string& scenarioName, int argc,
-                            const char* const* argv) {
-  try {
-    const scenario::ScenarioSpec spec = scenario::findScenario(scenarioName);
-    util::ArgParser args(exp::scenarioFileBase(scenarioName), spec.description);
-    addSuiteFlags(args);
-    if (!args.parse(argc, argv)) return 0;
-    const exp::SuiteOptions options = suiteOptionsFromFlags(args);
-    exp::SuiteResult suite;
-    suite.seed = options.seed;
-    suite.scenarios.push_back(exp::runSuiteScenario(spec, options));
-    printSuiteScenario(suite.scenarios.front());
-    const std::string base = exp::scenarioFileBase(scenarioName);
-    exp::emitSuite(suite, args.getString("out"), base);
-    std::cout << "\n[wrote " << args.getString("out") << "/" << base
-              << ".{txt,csv,json}]\n";
-    return 0;
-  } catch (const util::Error& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
-  }
 }
 
 }  // namespace casched::bench

@@ -101,13 +101,13 @@ class Agent {
   void onServerUp(const std::string& server);
 
   // --- experiment wiring ---
-  /// Also pre-sizes the task tables so steady-state scheduling never grows
-  /// them mid-run.
+  /// Pre-sizes the task tables so steady-state scheduling never grows them
+  /// mid-run.
   void setExpectedTasks(std::size_t n);
-  void setAllDoneCallback(std::function<void()> fn) { allDone_ = std::move(fn); }
   /// Fires once per task when it reaches a terminal state (completed or
-  /// lost), with the finished outcome. The distributed runtime relays these
-  /// to the client over the wire.
+  /// lost), with the finished outcome. The simulated system counts these to
+  /// stop its run; the distributed runtime relays them to the client over
+  /// the wire.
   void setTaskTerminalObserver(std::function<void(const metrics::TaskOutcome&)> fn) {
     onTerminal_ = std::move(fn);
   }
@@ -256,10 +256,8 @@ class Agent {
   std::vector<core::ServerId> serverOrder_; ///< registration order (determinism)
   std::vector<TaskState> taskSlots_;        ///< slot per task, never freed
   util::FlatMap64<std::uint32_t> taskIndex_;  ///< taskId -> slot
-  std::size_t expected_ = 0;
   std::size_t terminal_ = 0;
   std::uint64_t decisions_ = 0;
-  std::function<void()> allDone_;
   std::function<void(const metrics::TaskOutcome&)> onTerminal_;
   std::string decisionLabel_;
   std::function<void(std::uint64_t, obs::DecisionRecord&)> decisionAnnotator_;

@@ -1,20 +1,32 @@
 #pragma once
 /// \file system.hpp
-/// End-to-end wiring: builds the simulator, machines, daemons, agent and
-/// client for one experiment, runs it to completion, and returns the
-/// metrics-ready RunResult. This is the single entry point the experiment
-/// harness and the benches use.
+/// The simulated system: builds the simulator, machines, server daemons and
+/// agents for one experiment, submits the metatask the way the paper's client
+/// does, runs it to completion, and returns the metrics-ready RunResult.
+///
+/// The paper's model is its one-node case: one agent owning every server.
+/// A scenario with an enabled [mesh] section adds agent nodes, each owning a
+/// rack of the testbed's servers, joined by the shared mesh router (request
+/// forwarding to the least-loaded peer, work-stealing off parked queues, flat
+/// or tree topologies). The live loopback harness deploys the same shape
+/// over TCP, and the two agree on completed/lost counts at the same seed.
+/// Every experiment entry point (suite, scenario runner, live comparison)
+/// runs through runExperimentSystem.
 
+#include <deque>
 #include <memory>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "cas/agent.hpp"
 #include "cas/churn.hpp"
-#include "cas/client.hpp"
 #include "cas/server_daemon.hpp"
+#include "mesh/router.hpp"
 #include "metrics/record.hpp"
 #include "platform/testbed.hpp"
 #include "psched/noise.hpp"
+#include "scenario/spec.hpp"
 #include "workload/metatask.hpp"
 
 namespace casched::cas {
@@ -41,52 +53,84 @@ struct SystemConfig {
 /// Owns every simulation object of one experiment run.
 class GridSystem {
  public:
+  /// The paper's system: one agent owning every testbed server.
   GridSystem(const platform::Testbed& testbed, const workload::Metatask& metatask,
              const std::string& schedulerName, const SystemConfig& config);
+
+  /// With an enabled `mesh`, `agents.count` agent nodes own the mesh's racks
+  /// (expects compileScenario's [mesh] checks: >= 2 agents, total disjoint
+  /// rack coverage, tree root owning no rack, no churn). Otherwise the same
+  /// single agent as above: the simulator runs [agents] replicas as one.
+  GridSystem(const platform::Testbed& testbed, const workload::Metatask& metatask,
+             const std::string& schedulerName, const SystemConfig& config,
+             const scenario::AgentsSpec& agents, const scenario::MeshSpec& mesh);
 
   GridSystem(const GridSystem&) = delete;
   GridSystem& operator=(const GridSystem&) = delete;
 
-  /// Registers membership events to fire during run(). Call before run();
-  /// events beyond the end of the run simply never fire.
+  /// Registers membership events to fire during run(). Single agent only;
+  /// call before run(). Events beyond the end of the run never fire.
   void setChurnTimeline(std::vector<ChurnEvent> events);
 
-  /// Runs to completion (all tasks terminal) and builds the result.
+  /// Runs to completion (all tasks terminal) and builds the result. A mesh
+  /// result carries the forward/steal/deny accounting and covers every
+  /// metatask entry (denied or never-stolen tasks appear as kLost outcomes).
   metrics::RunResult run();
 
-  Agent& agent() { return *agent_; }
+  /// The first node's agent (the only one outside a mesh).
+  Agent& agent() { return *nodes_.front().agent; }
   simcore::Simulator& simulator() { return sim_; }
-  ServerDaemon& daemon(const std::string& name);
-  /// Counts of membership events actually applied so far.
-  const metrics::ChurnSummary& churnApplied() const { return churnStats_; }
 
  private:
-  void addServer(const psched::MachineSpec& spec);
+  /// One agent + the server daemons it owns + the mesh bookkeeping around it.
+  struct Node {
+    std::string name;
+    std::unique_ptr<Agent> agent;
+    std::vector<std::unique_ptr<ServerDaemon>> daemons;
+    /// Queued-but-undispatched tasks awaiting a steal (arrival order).
+    std::deque<workload::TaskInstance> parked;
+    /// taskId -> "forward:<agent>" / "steal:<agent>" for decision attribution.
+    std::unordered_map<std::uint64_t, std::string> origin;
+  };
+
+  void addServer(Node& node, const psched::MachineSpec& spec);
+  ServerDaemon& daemon(const std::string& name);
   void applyChurn(const ChurnEvent& event);
+  void submitMetatask();
+  void onRequest(std::size_t self, const workload::TaskInstance& task,
+                 std::uint32_t hops, const std::string& origin);
+  std::vector<mesh::PeerDigest> peerDigests(std::size_t self, std::size_t exclude) const;
+  void stealTick();
+  void onTerminal();
+  metrics::RunResult buildResult();
 
   simcore::Simulator sim_;
   const workload::Metatask metatask_;
   std::string schedulerName_;
   SystemConfig config_;
-  std::vector<std::unique_ptr<ServerDaemon>> daemons_;
-  std::unique_ptr<Agent> agent_;
-  std::unique_ptr<Client> client_;
+  scenario::MeshSpec mesh_;
+  mesh::RouterConfig router_;
+  /// Sized once in the constructor; never grows (observers hold indices).
+  std::vector<Node> nodes_;
+  /// taskId -> forwarding node index (so the receiver can exclude it).
+  std::unordered_map<std::uint64_t, std::size_t> originIndex_;
+  /// Tasks denied by the router: terminal without ever reaching an agent.
+  std::vector<metrics::TaskOutcome> denied_;
+  metrics::MeshSummary meshStats_;
   std::vector<ChurnEvent> timeline_;
   metrics::ChurnSummary churnStats_;
+  std::size_t terminal_ = 0;
   std::uint64_t nextNoiseStream_ = 0;  ///< per-server noise-seed derivation
 };
 
-/// Convenience one-shot: build + run.
-metrics::RunResult runExperimentSystem(const platform::Testbed& testbed,
-                                       const workload::Metatask& metatask,
-                                       const std::string& schedulerName,
-                                       const SystemConfig& config);
-
-/// One-shot with a churn timeline (dynamic server membership).
+/// One-shot: build + run. With an enabled `mesh` the run is the multi-agent
+/// mesh; `churn` applies to the single agent only.
 metrics::RunResult runExperimentSystem(const platform::Testbed& testbed,
                                        const workload::Metatask& metatask,
                                        const std::string& schedulerName,
                                        const SystemConfig& config,
-                                       std::vector<ChurnEvent> churn);
+                                       std::vector<ChurnEvent> churn = {},
+                                       const scenario::AgentsSpec& agents = {},
+                                       const scenario::MeshSpec& mesh = {});
 
 }  // namespace casched::cas

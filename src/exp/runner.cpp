@@ -20,6 +20,8 @@ ExperimentSpec specFromScenarioSpec(const scenario::ScenarioSpec& scenarioSpec,
   spec.churn = compiled.churn;
   spec.generatedChurn = compiled.generatedChurn;
   spec.faultDomains = compiled.faultDomains;
+  spec.agents = compiled.agents;
+  spec.mesh = compiled.mesh;
   return spec;
 }
 
@@ -70,7 +72,7 @@ metrics::RunResult runOne(const ExperimentSpec& spec, const workload::Metatask& 
   config.faultTolerance = faultTolerance;
   config.noiseSeed = noiseSeed;
   return cas::runExperimentSystem(spec.testbed, metatask, heuristic, config,
-                                  spec.churn);
+                                  spec.churn, spec.agents, spec.mesh);
 }
 
 }  // namespace casched::exp

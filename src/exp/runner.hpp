@@ -28,6 +28,10 @@ struct ExperimentSpec {
   std::size_t generatedChurn = 0;
   /// Resolved correlated-failure domains ([faults] rack/zone tagging).
   std::vector<scenario::FaultDomainSpec> faultDomains;
+  /// Multi-agent deployment and agent-mesh shape ([agents], [mesh]); an
+  /// enabled mesh makes every run of the experiment the multi-agent mesh.
+  scenario::AgentsSpec agents;
+  scenario::MeshSpec mesh;
 };
 
 /// Materializes a registry scenario into an ExperimentSpec: testbed, metatask

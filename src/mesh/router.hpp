@@ -1,10 +1,9 @@
 #pragma once
 /// \file router.hpp
-/// The mesh routing decision, shared verbatim by the simulator's MeshSystem
-/// and the live agent daemons: given the local partition's state and the
-/// latest peer digests, decide whether a schedule request is placed locally,
-/// forwarded to the least-loaded capable peer, parked for work-stealing, or
-/// denied. Keeping the policy in one pure function is what makes the
+/// The mesh routing decision, shared verbatim by cas::GridSystem and the
+/// live agent daemons: given the local partition's state and the latest peer
+/// digests, decide whether a schedule request is placed locally, forwarded
+/// to the least-loaded capable peer, parked for work-stealing, or denied. Keeping the policy in one pure function is what makes the
 /// sim/live count-agreement invariant hold for mesh scenarios.
 
 #include <cstdint>

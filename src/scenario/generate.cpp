@@ -6,7 +6,6 @@
 #include <tuple>
 
 #include "core/htm.hpp"
-#include "mesh/sim_system.hpp"
 #include "platform/calibration.hpp"
 #include "platform/machine_catalog.hpp"
 #include "scenario/faults.hpp"
@@ -314,12 +313,9 @@ CompiledScenario compileScenario(const ScenarioSpec& spec, std::uint64_t seed) {
 
 metrics::RunResult runScenario(const CompiledScenario& compiled,
                                const std::string& heuristic) {
-  if (compiled.mesh.enabled) {
-    return mesh::runMeshSim(compiled.testbed, compiled.metatask, heuristic,
-                            compiled.system, compiled.mesh, compiled.agents);
-  }
   return cas::runExperimentSystem(compiled.testbed, compiled.metatask, heuristic,
-                                  compiled.system, compiled.churn);
+                                  compiled.system, compiled.churn, compiled.agents,
+                                  compiled.mesh);
 }
 
 }  // namespace casched::scenario

@@ -33,15 +33,16 @@ struct CompiledScenario {
   std::size_t generatedChurn = 0;
   /// Resolved correlated-failure domains ([faults] rack/zone tagging).
   std::vector<FaultDomainSpec> faultDomains;
-  /// Multi-agent deployment shape ([agents] section, validated). The
-  /// simulator runs the paper's single agent regardless; the live loopback
+  /// Multi-agent deployment shape ([agents] section, validated). Without a
+  /// mesh the simulator runs the paper's single agent; the live loopback
   /// harness deploys `agents.count` daemons and applies the agent-crash
   /// events.
   AgentsSpec agents;
   /// Agent-mesh shape ([mesh] section, validated): rack ownership, request
-  /// forwarding, work-stealing and topology. When enabled, runScenario runs
-  /// the multi-agent mesh simulator instead of the paper's single agent, and
-  /// the live harness deploys the same mesh over loopback TCP.
+  /// forwarding, work-stealing and topology. When enabled, cas::GridSystem
+  /// runs one agent node per mesh agent instead of the paper's single agent
+  /// (for runScenario and exp::runOne alike), and the live harness deploys
+  /// the same mesh over loopback TCP.
   MeshSpec mesh;
 };
 

@@ -1,9 +1,9 @@
 // Locks the batched-placement contract: Agent::scheduleBatch produces exactly
 // the placements, outcomes and lifecycle span chains of one-at-a-time
-// requestSchedule calls at the same instants - in the simulator (GridSystem's
-// client groups equal arrivals) and over live TCP loopback (the AgentDaemon
-// drains each poll cycle's requests into one batch) - and that the
-// steady-state decision path performs zero heap allocations.
+// requestSchedule calls at the same instants - in the simulator (GridSystem
+// submits equal arrivals as one batch) and over live TCP loopback (the
+// AgentDaemon drains each poll cycle's requests into one batch) - and that
+// the steady-state decision path performs zero heap allocations.
 
 #include <gtest/gtest.h>
 
@@ -110,7 +110,10 @@ TEST(Batching, BatchedAndSequentialSchedulingAgree) {
     cas::Agent& agent = seqWorld.agent();
     simcore::Simulator& sim = seqWorld.simulator();
     agent.setExpectedTasks(mt.size());
-    agent.setAllDoneCallback([&sim] { sim.requestStop(); });
+    std::size_t terminal = 0;
+    agent.setTaskTerminalObserver([&sim, &terminal, &mt](const metrics::TaskOutcome&) {
+      if (++terminal == mt.size()) sim.requestStop();
+    });
     for (const workload::TaskInstance& task : mt.tasks) {
       const workload::TaskInstance copy = task;
       sim.scheduleAt(task.arrival + cfg.controlLatency,

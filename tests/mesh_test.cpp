@@ -1,5 +1,6 @@
 // Agent-mesh subsystem: [mesh] parsing/validation, the shared router policy,
-// and the multi-agent mesh simulator (forwarding, hierarchy, work-stealing).
+// and the multi-agent mesh in cas::GridSystem (forwarding, hierarchy,
+// work-stealing), reached the same way from every experiment entry point.
 // The live-vs-sim count-agreement tests for the mesh registry entries live in
 // net_test.cpp next to the other loopback harness tests.
 
@@ -9,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "exp/runner.hpp"
 #include "mesh/router.hpp"
 #include "scenario/generate.hpp"
 #include "scenario/parser.hpp"
@@ -246,6 +248,34 @@ TEST(MeshSim, SameSeedIsBitIdentical) {
     EXPECT_DOUBLE_EQ(a.tasks[i].completion, b.tasks[i].completion);
   }
   EXPECT_EQ(a.mesh.forwards, b.mesh.forwards);
+}
+
+TEST(MeshSim, SuiteAndScenarioRunnerRunTheSameMesh) {
+  // exp::runOne (bench_suite, scenario_matrix) and scenario::runScenario
+  // (scenario_runner, the live comparison) must run one system for a [mesh]
+  // registry entry: the mesh, not a single agent owning every rack.
+  for (const char* name :
+       {"mesh/saturated_rescue", "mesh/hierarchy_4agent", "mesh/steal_tree"}) {
+    const std::uint64_t seed = 7;
+    const CompiledScenario compiled = compileScenario(scenario::findScenario(name), seed);
+    const metrics::RunResult viaScenario = runScenario(compiled, "msf");
+    const metrics::RunResult viaSuite =
+        exp::runOne(exp::specFromScenario(name, seed), compiled.metatask, "msf",
+                    compiled.system.faultTolerance, compiled.system.noiseSeed);
+
+    ASSERT_EQ(viaSuite.tasks.size(), viaScenario.tasks.size()) << name;
+    for (std::size_t i = 0; i < viaScenario.tasks.size(); ++i) {
+      const metrics::TaskOutcome& a = viaSuite.tasks[i];
+      const metrics::TaskOutcome& b = viaScenario.tasks[i];
+      EXPECT_EQ(a.index, b.index) << name << " task " << i;
+      EXPECT_EQ(a.server, b.server) << name << " task " << i;
+      EXPECT_EQ(a.completion, b.completion) << name << " task " << i;
+      EXPECT_EQ(a.status, b.status) << name << " task " << i;
+    }
+    EXPECT_EQ(viaSuite.mesh.forwards, viaScenario.mesh.forwards) << name;
+    EXPECT_EQ(viaSuite.mesh.steals, viaScenario.mesh.steals) << name;
+    EXPECT_EQ(viaSuite.mesh.forwardDenies, viaScenario.mesh.forwardDenies) << name;
+  }
 }
 
 }  // namespace
