@@ -16,8 +16,6 @@
 #include "obs/trace.hpp"
 #include "simcore/engine.hpp"
 #include "simcore/rng.hpp"
-#include "wire/framing.hpp"
-#include "wire/messages.hpp"
 #include "workload/task_types.hpp"
 
 namespace {
@@ -331,56 +329,6 @@ void BM_ObsOverheadInstrumented(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ObsOverheadInstrumented);
-
-// --- wire frame encoding: singleton frames vs one coalesced frame ---
-//
-// The pair below measures what protocol v5's coalesced envelope buys on the
-// encode side: N load reports framed individually (N headers + N CRC32
-// trailers) against the same N payloads packed into one kCoalesced frame
-// (one header, one trailer). The Arg is the batch size - the daemons' flush
-// batches are typically single-digit to low-hundreds per poll cycle.
-// tools/perf_gate.py reports the per-message ratio at Arg(64) in its step
-// summary (informational, not gated).
-
-std::vector<wire::Bytes> makeLoadReportPayloads(std::size_t count) {
-  std::vector<wire::Bytes> payloads;
-  payloads.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    payloads.push_back(wire::encode(wire::LoadReportMsg{
-        "server-" + std::to_string(i), 1.5, 60.0 + static_cast<double>(i), 384.0}));
-  }
-  return payloads;
-}
-
-void BM_FrameEncodeSingleton(benchmark::State& state) {
-  const auto payloads = makeLoadReportPayloads(static_cast<std::size_t>(state.range(0)));
-  std::size_t bytes = 0;
-  for (auto _ : state) {
-    bytes = 0;
-    for (const wire::Bytes& p : payloads) {
-      const wire::Bytes frame = wire::buildFrame(wire::MessageType::kLoadReport, p);
-      bytes += frame.size();
-      benchmark::DoNotOptimize(frame.data());
-    }
-  }
-  state.counters["wire_bytes"] = static_cast<double>(bytes);
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_FrameEncodeSingleton)->Arg(8)->Arg(64)->Arg(256);
-
-void BM_FrameEncodeBatch(benchmark::State& state) {
-  const auto payloads = makeLoadReportPayloads(static_cast<std::size_t>(state.range(0)));
-  std::size_t bytes = 0;
-  for (auto _ : state) {
-    const wire::Bytes frame =
-        wire::buildCoalescedFrame(wire::MessageType::kLoadReport, payloads);
-    bytes = frame.size();
-    benchmark::DoNotOptimize(frame.data());
-  }
-  state.counters["wire_bytes"] = static_cast<double>(bytes);
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_FrameEncodeBatch)->Arg(8)->Arg(64)->Arg(256);
 
 }  // namespace
 

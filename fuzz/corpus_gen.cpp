@@ -1,9 +1,9 @@
 // Regenerates the checked-in libFuzzer seed corpus (fuzz/corpus) from valid
-// encoded frames: one file per message type, plus a coalesced envelope, a
-// schema hello, and a multi-frame stream. Valid seeds matter - the fuzzer
-// mutates from them, so every seed that decodes cleanly puts mutations one
-// bit-flip away from the deep decode paths instead of dying at the length
-// prefix. Usage: wire_corpus_gen <output-dir>
+// encoded frames: one file per message type, plus a multi-frame stream.
+// Valid seeds matter - the fuzzer mutates from them, so every seed that
+// decodes cleanly puts mutations one bit-flip away from the deep decode
+// paths instead of dying at the length prefix. Usage:
+// wire_corpus_gen <output-dir>
 //
 // Builds with any compiler (the libFuzzer target itself is clang-only).
 
@@ -156,17 +156,6 @@ int main(int argc, char** argv) {
   frame("resolver_info", MessageType::kResolverInfo, encode(info));
 
   frame("schema_hello", MessageType::kSchemaHello, encode(SchemaHelloMsg{}));
-  seeds.emplace_back(
-      "coalesced_heartbeats",
-      buildCoalescedFrame(MessageType::kHeartbeat,
-                          {encode(HeartbeatMsg{"artimon", 1.0}),
-                           encode(HeartbeatMsg{"spinnaker", 2.0}),
-                           encode(HeartbeatMsg{"sloop", 3.0})}));
-  seeds.emplace_back(
-      "coalesced_load_reports",
-      buildCoalescedFrame(MessageType::kLoadReport,
-                          {encode(LoadReportMsg{"artimon", 1.5, 60.0, 384.0}),
-                           encode(LoadReportMsg{"spinnaker", 0.5, 61.0, 256.0})}));
 
   // A handshake-then-traffic stream, as a real connection's first bytes look.
   Bytes stream;

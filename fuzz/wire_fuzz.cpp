@@ -1,7 +1,7 @@
 // libFuzzer entry point over wire::decode (build with -DCASCHED_FUZZ=ON,
 // clang only). The input bytes are treated as a raw TCP stream: they run
 // through the incremental FrameDecoder (length bound, version check, CRC32
-// trailer, coalesced-envelope expansion), and every frame that survives is
+// trailer, type check), and every frame that survives is
 // handed to its per-type message decoder. The invariant under test is the
 // same one the seeded corruption ctest locks: corrupt input either decodes
 // or throws a typed util::Error - never a crash, hang, or unbounded
@@ -45,14 +45,13 @@ void decodeMessage(const Frame& frame) {
     case MessageType::kResolverProbe: (void)decodeResolverProbe(frame.payload); break;
     case MessageType::kResolverInfo: (void)decodeResolverInfo(frame.payload); break;
     case MessageType::kSchemaHello: (void)decodeSchemaHello(frame.payload); break;
-    case MessageType::kCoalesced: break;  // the decoder expands these itself
   }
 }
 
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size) {
-  // Whole-stream feed: header/CRC/envelope validation plus message decodes.
+  // Whole-stream feed: header/CRC/type validation plus message decodes.
   try {
     FrameDecoder decoder;
     decoder.feed(data, size);

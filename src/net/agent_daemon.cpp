@@ -130,8 +130,7 @@ void AgentDaemon::runOnce() {
 
 void AgentDaemon::flushAllQueued() {
   // One flush per poll cycle per link: everything queued above (terminal
-  // relays, submits, heartbeat echoes, sync chunks) leaves as coalesced
-  // frames wherever consecutive messages share a type.
+  // relays, submits, heartbeat echoes, sync chunks) leaves in one write.
   for (auto& [conn, since] : pending_) {
     if (conn && !conn->closed()) conn->flushQueued();
   }

@@ -230,7 +230,7 @@ class AgentDaemon {
   void pollPeers();
   void maybeSync();
   /// Flushes every link's queued outbound traffic (end of each poll cycle);
-  /// consecutive same-type messages leave in coalesced frames.
+  /// each link's frames leave in one write.
   void flushAllQueued();
   void sendHello(PeerEntry& peer);
   void onAgentHello(const std::shared_ptr<wire::TcpTransport>& transport,

@@ -146,7 +146,7 @@ bool ClientDriver::sendTask(std::size_t pos, std::uint64_t wireId) {
   request.memMB = task.type.memMB;
   request.refSeconds = task.type.refSeconds;
   // Queued, not sent: a burst of due arrivals (and failover re-submissions)
-  // leaves as one coalesced frame when runOnce flushes below.
+  // leaves in one write when runOnce flushes below.
   links_[chosen].transport->queue(wire::MessageType::kScheduleRequest,
                                   wire::encode(request));
   wireToPos_[wireId] = pos;

@@ -126,8 +126,7 @@ void NetServerDaemon::runOnce() {
     }
   }
   // Everything queued this cycle (timer-driven reports/heartbeats, terminal
-  // notices from advanceTo, replies from handleFrame) leaves as one batch, so
-  // consecutive same-type messages share a coalesced frame.
+  // notices from advanceTo, replies from handleFrame) leaves in one write.
   if (transport_ != nullptr && !transport_->closed()) transport_->flushQueued();
 }
 
@@ -265,7 +264,7 @@ void NetServerDaemon::sendTaskFailed(std::uint64_t taskId, const std::string& re
 void NetServerDaemon::send(wire::MessageType type, const wire::Bytes& payload) {
   if (transport_ == nullptr || transport_->closed()) return;
   // Deferred to the end of the current runOnce cycle; flushQueued() there
-  // coalesces consecutive same-type runs into one frame.
+  // writes the cycle's frames in one call.
   transport_->queue(type, payload);
 }
 

@@ -13,13 +13,18 @@ const char* frameErrorName(FrameError kind) {
     case FrameError::kBadType: return "type";
     case FrameError::kBadChecksum: return "checksum";
     case FrameError::kSchemaMismatch: return "schema";
-    case FrameError::kBadCoalesce: return "coalesce";
   }
   return "unknown";
 }
 
 Bytes buildFrame(MessageType type, const Bytes& payload) {
   Bytes out;
+  appendFrame(out, type, payload);
+  return out;
+}
+
+void appendFrame(Bytes& out, MessageType type, const Bytes& payload) {
+  const std::size_t start = out.size();
   Writer w(out);
   const std::uint32_t totalLen =
       static_cast<std::uint32_t>(payload.size()) + FrameDecoder::kFrameOverhead;
@@ -28,71 +33,7 @@ Bytes buildFrame(MessageType type, const Bytes& payload) {
   w.u16(kProtocolVersion);
   w.u16(static_cast<std::uint16_t>(type));
   out.insert(out.end(), payload.begin(), payload.end());
-  w.u32(crc32(out.data() + 4, out.size() - 4));
-  return out;
-}
-
-Bytes buildCoalescedPayload(MessageType inner, const std::vector<Bytes>& payloads) {
-  CASCHED_CHECK(isCoalescableType(inner),
-                "message type is not coalescable: " + messageTypeName(inner));
-  CASCHED_CHECK(!payloads.empty() && payloads.size() <= FrameDecoder::kMaxCoalescedMessages,
-                "coalesced batch size out of range");
-  Bytes body;
-  Writer w(body);
-  w.u16(static_cast<std::uint16_t>(inner));
-  w.u32(static_cast<std::uint32_t>(payloads.size()));
-  for (const Bytes& p : payloads) w.bytes(p);
-  return body;
-}
-
-Bytes buildCoalescedFrame(MessageType inner, const std::vector<Bytes>& payloads) {
-  return buildFrame(MessageType::kCoalesced, buildCoalescedPayload(inner, payloads));
-}
-
-std::vector<Frame> expandCoalesced(const Bytes& payload) {
-  try {
-    Reader r(payload);
-    const std::uint16_t rawInner = r.u16();
-    if (!isKnownMessageType(rawInner) ||
-        !isCoalescableType(static_cast<MessageType>(rawInner))) {
-      throw FrameDecodeError(
-          FrameError::kBadCoalesce,
-          util::strformat("coalesced frame carries non-coalescable inner type %u",
-                          static_cast<unsigned>(rawInner)));
-    }
-    const MessageType inner = static_cast<MessageType>(rawInner);
-    const std::uint32_t count = r.u32();
-    // Bound the count by the policy ceiling AND by what the payload could
-    // physically hold (4 length bytes per message) before reserving anything.
-    if (count == 0 || count > FrameDecoder::kMaxCoalescedMessages ||
-        count > r.remaining() / 4) {
-      throw FrameDecodeError(
-          FrameError::kBadCoalesce,
-          util::strformat("coalesced message count %u out of range (payload holds "
-                          "at most %zu)",
-                          count, r.remaining() / 4));
-    }
-    std::vector<Frame> frames;
-    frames.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      Frame frame;
-      frame.type = inner;
-      frame.payload = r.bytes();  // length-prefixed; truncation wrapped below
-      frames.push_back(std::move(frame));
-    }
-    if (r.remaining() != 0) {
-      throw FrameDecodeError(
-          FrameError::kBadCoalesce,
-          util::strformat("coalesced frame has %zu trailing bytes", r.remaining()));
-    }
-    return frames;
-  } catch (const FrameDecodeError&) {
-    throw;
-  } catch (const util::DecodeError& e) {
-    // Reader truncation inside the envelope: surface it under the same kind.
-    throw FrameDecodeError(FrameError::kBadCoalesce,
-                           std::string("malformed coalesced frame: ") + e.what());
-  }
+  w.u32(crc32(out.data() + start + 4, out.size() - start - 4));
 }
 
 void FrameDecoder::feed(const std::uint8_t* data, std::size_t size) {
@@ -100,11 +41,6 @@ void FrameDecoder::feed(const std::uint8_t* data, std::size_t size) {
 }
 
 std::optional<Frame> FrameDecoder::next() {
-  if (!expanded_.empty()) {
-    Frame frame = std::move(expanded_.front());
-    expanded_.pop_front();
-    return frame;
-  }
   if (buffer_.size() < 4) return std::nullopt;
   std::uint32_t totalLen = 0;
   for (int i = 0; i < 4; ++i) {
@@ -161,14 +97,6 @@ std::optional<Frame> FrameDecoder::next() {
   Frame frame;
   frame.type = static_cast<MessageType>(rawType);
   frame.payload.assign(body.begin() + 4, body.end() - 4);
-  if (frame.type == MessageType::kCoalesced) {
-    std::vector<Frame> inner = expandCoalesced(frame.payload);
-    // expandCoalesced guarantees at least one inner frame.
-    for (auto& f : inner) expanded_.push_back(std::move(f));
-    Frame first = std::move(expanded_.front());
-    expanded_.pop_front();
-    return first;
-  }
   return frame;
 }
 

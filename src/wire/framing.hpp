@@ -1,16 +1,14 @@
 #pragma once
 /// \file framing.hpp
-/// Stream framing, protocol v5: every frame is [u32 totalLen][u16 version]
+/// Stream framing, protocol v6: every frame is [u32 totalLen][u16 version]
 /// [u16 type][payload...][u32 crc32], little-endian, where totalLen counts
-/// version+type+payload+crc and the CRC covers version+type+payload. The
-/// decoder is incremental - feed arbitrary chunks (as TCP delivers them) and
-/// pull complete frames out; kCoalesced envelopes are expanded transparently
-/// into their inner frames.
+/// version+type+payload+crc and the CRC covers version+type+payload. One
+/// frame carries one message. The decoder is incremental - feed arbitrary
+/// chunks (as TCP delivers them) and pull complete frames out.
 
 #include <cstdint>
 #include <deque>
 #include <optional>
-#include <vector>
 
 #include "util/error.hpp"
 #include "wire/buffer.hpp"
@@ -32,7 +30,6 @@ enum class FrameError {
   kBadType,        ///< message type this build does not know
   kBadChecksum,    ///< CRC32 trailer does not match the frame body
   kSchemaMismatch, ///< handshake magic/hash wrong, or traffic before handshake
-  kBadCoalesce,    ///< malformed kCoalesced envelope (type, count, lengths)
 };
 
 /// Stable label for a FrameError ("checksum", "schema", ...); used as the
@@ -55,18 +52,9 @@ class FrameDecodeError : public util::DecodeError {
 /// Builds one wire frame from a typed payload (header + payload + CRC32).
 Bytes buildFrame(MessageType type, const Bytes& payload);
 
-/// Builds the kCoalesced envelope body carrying `payloads` as inner messages
-/// of `inner` type: [u16 inner][u32 count][(u32 len)(bytes)]*count. `inner`
-/// must satisfy isCoalescableType.
-Bytes buildCoalescedPayload(MessageType inner, const std::vector<Bytes>& payloads);
-
-/// buildCoalescedPayload, framed and CRC'd like any other payload.
-Bytes buildCoalescedFrame(MessageType inner, const std::vector<Bytes>& payloads);
-
-/// Expands a kCoalesced payload into its inner frames, validating the inner
-/// type, count and lengths (bounded before any allocation). Throws
-/// FrameDecodeError(kBadCoalesce) on any malformation.
-std::vector<Frame> expandCoalesced(const Bytes& payload);
+/// buildFrame, appended to `out` in place: queued frames are laid back to
+/// back this way so a link writes a whole turn in one call.
+void appendFrame(Bytes& out, MessageType type, const Bytes& payload);
 
 /// Incremental frame decoder with a hard limit on frame size (malformed or
 /// hostile length prefixes must not allocate unbounded memory). Checks run in
@@ -77,26 +65,19 @@ class FrameDecoder {
   static constexpr std::uint32_t kMaxFrameBytes = 64u * 1024u * 1024u;
   /// Fixed bytes after the length prefix: version + type + CRC trailer.
   static constexpr std::uint32_t kFrameOverhead = 8;
-  /// Ceiling on inner messages per kCoalesced envelope.
-  static constexpr std::uint32_t kMaxCoalescedMessages = 65536;
 
   /// Appends raw stream bytes.
   void feed(const std::uint8_t* data, std::size_t size);
   void feed(const Bytes& data) { feed(data.data(), data.size()); }
 
-  /// Extracts the next complete frame, if any. kCoalesced envelopes never
-  /// surface: their inner frames are returned one by one, in order. Throws
-  /// FrameDecodeError on a corrupt frame (bad length/version/type/CRC or
-  /// malformed envelope).
+  /// Extracts the next complete frame, if any. Throws FrameDecodeError on a
+  /// corrupt frame (bad length/version/type/CRC).
   std::optional<Frame> next();
 
   std::size_t bufferedBytes() const { return buffer_.size(); }
 
  private:
   std::deque<std::uint8_t> buffer_;
-  /// Inner frames from the last kCoalesced envelope, drained before the
-  /// byte buffer is parsed further (preserves arrival order).
-  std::deque<Frame> expanded_;
 };
 
 }  // namespace casched::wire

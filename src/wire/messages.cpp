@@ -32,30 +32,13 @@ std::string messageTypeName(MessageType type) {
     case MessageType::kResolverProbe: return "resolver-probe";
     case MessageType::kResolverInfo: return "resolver-info";
     case MessageType::kSchemaHello: return "schema-hello";
-    case MessageType::kCoalesced: return "coalesced";
   }
   return "unknown";
 }
 
 bool isKnownMessageType(std::uint16_t rawType) {
   return rawType >= static_cast<std::uint16_t>(MessageType::kRegister) &&
-         rawType <= static_cast<std::uint16_t>(MessageType::kCoalesced);
-}
-
-bool isCoalescableType(MessageType type) {
-  switch (type) {
-    case MessageType::kScheduleRequest:
-    case MessageType::kScheduleReply:
-    case MessageType::kTaskSubmit:
-    case MessageType::kTaskComplete:
-    case MessageType::kTaskFailed:
-    case MessageType::kLoadReport:
-    case MessageType::kHeartbeat:
-    case MessageType::kAgentSync:
-      return true;
-    default:
-      return false;
-  }
+         rawType <= static_cast<std::uint16_t>(MessageType::kSchemaHello);
 }
 
 namespace {

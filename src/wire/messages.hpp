@@ -20,11 +20,12 @@ namespace casched::wire {
 /// client-facing deny (kScheduleDeny), work-stealing (kStealRequest/
 /// kStealGrant) and the client-side resolver probe pair (kResolverProbe/
 /// kResolverInfo), plus the hello's listen port and the sync's parked-task
-/// count; v5 adds the integrity layer: a CRC32 trailer on every frame, the
-/// magic + schema-hash connect handshake (kSchemaHello), and multi-message
-/// coalesced frames (kCoalesced). Peers speaking an older version are
-/// rejected with a typed error naming both versions.
-constexpr std::uint16_t kProtocolVersion = 5;
+/// count; v5 adds the integrity layer: a CRC32 trailer on every frame and
+/// the magic + schema-hash connect handshake (kSchemaHello); v6 drops v5's
+/// multi-message envelope (type 25), so every frame carries exactly one
+/// message. Peers speaking another version are rejected with a typed error
+/// naming both versions.
+constexpr std::uint16_t kProtocolVersion = 6;
 
 enum class MessageType : std::uint16_t {
   kRegister = 1,       ///< server -> agent: problems + peak performances
@@ -51,7 +52,6 @@ enum class MessageType : std::uint16_t {
   kResolverProbe = 22, ///< client -> agent: RTT/load probe
   kResolverInfo = 23,  ///< agent -> client: probe echo + load + peer gossip
   kSchemaHello = 24,   ///< both directions: first frame; magic + schema hash
-  kCoalesced = 25,     ///< envelope: N same-type messages behind one header
 };
 
 std::string messageTypeName(MessageType type);
@@ -59,13 +59,6 @@ std::string messageTypeName(MessageType type);
 /// True when `rawType` names a MessageType this build understands. The frame
 /// decoder rejects everything else with the offending value.
 bool isKnownMessageType(std::uint16_t rawType);
-
-/// True for the high-volume types that may ride inside a kCoalesced frame
-/// (load reports, heartbeats, schedule/submit bursts, terminal acks, sync
-/// chunks, replies). Control traffic - registration, hellos, stats,
-/// forwarding/stealing negotiation, shutdown - always travels as singleton
-/// frames so each step of a handshake stays individually observable.
-bool isCoalescableType(MessageType type);
 
 /// Magic constant opening every kSchemaHello payload: rejects non-protocol
 /// peers (or misrouted byte streams) by name instead of by decode garbage.
@@ -86,7 +79,7 @@ constexpr std::uint64_t fnv1a64(const char* s) {
 /// changes kSchemaHash and makes mismatched builds reject each other at
 /// connect time instead of mis-decoding each other's frames.
 constexpr char kSchemaDefinition[] =
-    "v5;"
+    "v6;"
     "register{str server;f64 bwIn,bwOut,latIn,latOut,ram,swap,speed;str[] problems};"
     "registerAck{str server;u8 accepted;f64 agentTime};"
     "scheduleRequest{u64 task;str problem;f64 in,out,mem,ref};"
@@ -106,8 +99,7 @@ constexpr char kSchemaDefinition[] =
     "stealRequest{str agent;u32 capacity};stealGrant{str agent;scheduleRequest[] tasks};"
     "resolverProbe{u64 probe;f64 send};"
     "resolverInfo{str agent;u64 probe;f64 echo,sample,load;u32 live,queued;str[] peers};"
-    "schemaHello{u32 magic;u64 hash;u16 version};"
-    "coalesced{u16 inner;u32 count;(u32 len;bytes)[]};";
+    "schemaHello{u32 magic;u64 hash;u16 version};";
 
 /// What each peer asserts about its build in the connect handshake.
 constexpr std::uint64_t kSchemaHash = fnv1a64(kSchemaDefinition);

@@ -21,10 +21,11 @@ namespace {
 }
 
 /// Process-wide wire traffic instruments: every TcpTransport (agent, server,
-/// client, peer links) funnels through send/poll, so counting here covers
-/// the whole daemon. messagesOut counts logical messages (each inner message
-/// of a coalesced frame counts), so messagesOut - framesOut is the traffic
-/// coalescing saved.
+/// client, peer links) funnels through write/poll, so counting here covers
+/// the whole daemon. Outbound bytes count as the kernel accepts them and
+/// frames once their whole write is out, so a link that dies mid-write
+/// counts nothing it did not send. A frame carries one message, so
+/// messagesOut equals framesOut.
 struct WireInstruments {
   obs::Counter& framesOut;
   obs::Counter& bytesOut;
@@ -32,7 +33,6 @@ struct WireInstruments {
   obs::Counter& bytesIn;
   obs::Counter& decodeErrors;
   obs::Counter& messagesOut;
-  obs::Counter& coalescedFramesOut;
 
   static WireInstruments& get() {
     auto& reg = obs::Registry::global();
@@ -44,10 +44,7 @@ struct WireInstruments {
         reg.counter("casched_net_decode_errors_total",
                     "Frames rejected by the decoder (any kind)"),
         reg.counter("casched_net_messages_out_total",
-                    "Logical messages sent over TCP (coalesced frames count "
-                    "every inner message)"),
-        reg.counter("casched_net_coalesced_frames_out_total",
-                    "Frames that carried more than one message"),
+                    "Messages sent over TCP (one per frame)"),
     };
     return *instruments;
   }
@@ -92,33 +89,22 @@ std::shared_ptr<TcpTransport> TcpTransport::connect(const std::string& host,
 
 TcpTransport::~TcpTransport() { close(); }
 
-void TcpTransport::send(MessageType type, const Bytes& payload) {
+void TcpTransport::write(const Bytes& bytes, std::size_t frames) {
   if (closed_) return;
-  const Bytes frame = buildFrame(type, payload);
   WireInstruments& ins = WireInstruments::get();
-  ins.framesOut.inc();
-  ins.bytesOut.inc(frame.size());
-  if (type == MessageType::kCoalesced && payload.size() >= 6) {
-    // Envelope body is [u16 inner][u32 count]...; count the inner messages.
-    std::uint32_t count = 0;
-    for (int i = 0; i < 4; ++i) {
-      count |= static_cast<std::uint32_t>(payload[2 + static_cast<std::size_t>(i)]) << (8 * i);
-    }
-    ins.messagesOut.inc(count);
-    ins.coalescedFramesOut.inc();
-  } else {
-    ins.messagesOut.inc();
-  }
   std::size_t sent = 0;
-  while (sent < frame.size()) {
-    const ssize_t n = ::send(fd_, frame.data() + sent, frame.size() - sent, MSG_NOSIGNAL);
+  while (sent < bytes.size()) {
+    const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
     if (n <= 0) {
       if (n < 0 && (errno == EINTR)) continue;
       closed_ = true;
       return;
     }
     sent += static_cast<std::size_t>(n);
+    ins.bytesOut.inc(static_cast<std::uint64_t>(n));
   }
+  ins.framesOut.inc(frames);
+  ins.messagesOut.inc(frames);
 }
 
 std::size_t TcpTransport::poll(const FrameFn& fn) {

@@ -20,13 +20,16 @@ class TcpTransport final : public Transport {
 
   ~TcpTransport() override;
 
-  void send(MessageType type, const Bytes& payload) override;
   /// Drains whatever is readable right now without blocking.
   std::size_t poll(const FrameFn& fn) override;
   bool closed() const override;
   void close() override;
 
   int fd() const { return fd_; }
+
+ protected:
+  /// Sends until every byte is out; a failed send closes the link.
+  void write(const Bytes& bytes, std::size_t frames) override;
 
  private:
   explicit TcpTransport(int fd) : fd_(fd) {}

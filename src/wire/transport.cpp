@@ -5,46 +5,16 @@
 namespace casched::wire {
 
 void Transport::queue(MessageType type, Bytes payload) {
-  queued_.emplace_back(type, std::move(payload));
+  appendFrame(pending_, type, payload);
+  ++pendingFrames_;
 }
 
 std::size_t Transport::flushQueued() {
-  if (queued_.empty()) return 0;
-  std::vector<std::pair<MessageType, Bytes>> batch;
-  batch.swap(queued_);
-  if (closed()) return 0;
-
-  std::size_t frames = 0;
-  std::vector<Bytes> run;
-  MessageType runType = MessageType::kSchemaHello;
-  std::size_t runBytes = 0;
-  auto emitRun = [&] {
-    if (run.empty()) return;
-    if (run.size() == 1) {
-      send(runType, run.front());
-    } else {
-      send(MessageType::kCoalesced, buildCoalescedPayload(runType, run));
-    }
-    ++frames;
-    run.clear();
-    runBytes = 0;
-  };
-
-  for (auto& [type, payload] : batch) {
-    if (!isCoalescableType(type)) {
-      emitRun();
-      send(type, payload);
-      ++frames;
-      continue;
-    }
-    const bool runFull = runBytes + payload.size() > kMaxCoalescedBatchBytes ||
-                         run.size() >= kMaxCoalescedBatchCount;
-    if (!run.empty() && (type != runType || runFull)) emitRun();
-    runType = type;
-    runBytes += payload.size();
-    run.push_back(std::move(payload));
-  }
-  emitRun();
+  if (pendingFrames_ == 0) return 0;
+  const std::size_t frames = closed() ? 0 : pendingFrames_;
+  if (frames != 0) write(pending_, frames);
+  pending_.clear();  // keeps the capacity for the next turn
+  pendingFrames_ = 0;
   return frames;
 }
 
@@ -97,11 +67,10 @@ LoopbackTransport::createPair(bool withHandshake) {
   return {a, b};
 }
 
-void LoopbackTransport::send(MessageType type, const Bytes& payload) {
-  const Bytes frame = buildFrame(type, payload);
+void LoopbackTransport::write(const Bytes& bytes, std::size_t /*frames*/) {
   std::lock_guard<std::mutex> lock(shared_->mutex);
   if (shared_->closed) return;
-  (isA_ ? shared_->aToB : shared_->bToA).push_back(frame);
+  (isA_ ? shared_->aToB : shared_->bToA).push_back(bytes);
 }
 
 std::size_t LoopbackTransport::poll(const FrameFn& fn) {

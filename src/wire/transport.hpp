@@ -3,16 +3,16 @@
 /// Message transports. LoopbackTransport is a thread-safe in-process pipe
 /// used by the protocol tests and as a stand-in for sockets; TcpTransport
 /// (tcp_transport.hpp) carries the same frames over real sockets for the
-/// grid_rpc_demo example. Both speak the v5 handshake: the first frame in
+/// grid_rpc_demo example. Both speak the v6 handshake: the first frame in
 /// each direction is a kSchemaHello, verified and swallowed here so daemons
-/// only ever see application frames.
+/// only ever see application frames. A transport's one output primitive is
+/// write(): already-framed bytes plus their frame count.
 
 #include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <utility>
-#include <vector>
 
 #include "wire/framing.hpp"
 
@@ -23,14 +23,10 @@ class Transport {
  public:
   using FrameFn = std::function<void(Frame)>;
 
-  /// Coalescing caps per envelope: a run is split when it would exceed either.
-  static constexpr std::size_t kMaxCoalescedBatchBytes = 1u * 1024u * 1024u;
-  static constexpr std::size_t kMaxCoalescedBatchCount = 1024;
-
   virtual ~Transport() = default;
 
-  /// Sends one typed message (encoded + framed) immediately.
-  virtual void send(MessageType type, const Bytes& payload) = 0;
+  /// Frames one typed message and writes it immediately.
+  void send(MessageType type, const Bytes& payload) { write(buildFrame(type, payload), 1); }
 
   /// Receives all frames queued so far, invoking `fn` per frame, in order.
   /// Returns the number of frames delivered (handshake frames are consumed
@@ -41,20 +37,23 @@ class Transport {
   virtual bool closed() const = 0;
   virtual void close() = 0;
 
-  /// Defers one typed message to the next flushQueued() call. Daemons queue
-  /// their per-poll-cycle outbound traffic and flush once per cycle, letting
-  /// consecutive same-type messages share one kCoalesced frame. Order across
-  /// types is preserved exactly (only consecutive runs coalesce). Not
-  /// thread-safe: queue/flush belong to the daemon's poll thread.
+  /// Frames one typed message onto this link's pending bytes, to leave with
+  /// the next flushQueued() call. Daemons queue their per-poll-cycle outbound
+  /// traffic and flush once per cycle, so a turn costs one write per link.
+  /// Not thread-safe: queue/flush belong to the daemon's poll thread.
   void queue(MessageType type, Bytes payload);
 
-  /// Encodes and sends everything queued, coalescing consecutive runs of
-  /// coalescable types; returns the number of wire frames emitted. Queued
-  /// messages are dropped if the transport closed in the meantime (the link
-  /// is dying; the daemons' retry paths own recovery).
+  /// Writes every queued frame, in queue order, in one call; returns the
+  /// number of frames written. Queued frames are dropped if the transport
+  /// closed in the meantime (the link is dying; the daemons' retry paths own
+  /// recovery).
   std::size_t flushQueued();
 
  protected:
+  /// Writes `bytes`, which hold `frames` complete frames back to back. A
+  /// closed transport drops them.
+  virtual void write(const Bytes& bytes, std::size_t frames) = 0;
+
   /// Sends this side's schema hello; transports call it once at connect time.
   void sendSchemaHello() { send(MessageType::kSchemaHello, encode(SchemaHelloMsg{})); }
 
@@ -65,7 +64,8 @@ class Transport {
   bool consumeHandshake(const Frame& frame);
 
  private:
-  std::vector<std::pair<MessageType, Bytes>> queued_;
+  Bytes pending_;
+  std::size_t pendingFrames_ = 0;
   bool peerVerified_ = false;
 };
 
@@ -80,10 +80,12 @@ class LoopbackTransport final : public Transport {
   static std::pair<std::shared_ptr<LoopbackTransport>, std::shared_ptr<LoopbackTransport>>
   createPair(bool withHandshake = true);
 
-  void send(MessageType type, const Bytes& payload) override;
   std::size_t poll(const FrameFn& fn) override;
   bool closed() const override;
   void close() override;
+
+ protected:
+  void write(const Bytes& bytes, std::size_t frames) override;
 
  private:
   struct Shared {

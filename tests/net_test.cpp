@@ -486,39 +486,6 @@ TEST(NetRuntime, LiveLoopbackScenarioMatchesSimulatorCounts) {
   EXPECT_NE(json.find("\"scenario\": \"live-loopback\""), std::string::npos);
 }
 
-TEST(NetRuntime, CoalescingReducesWireFrameCountsMeasurably) {
-  // The v5 efficiency lock: daemons queue their per-poll-cycle outbound
-  // traffic, so bursts of same-type messages (schedule requests due at once,
-  // load reports + terminal relays from one advanceTo, sync chunks) share
-  // kCoalesced frames. The process-wide transport counters must show fewer
-  // wire frames than logical messages, with at least one coalesced frame.
-  auto& reg = obs::Registry::global();
-  const std::uint64_t framesBefore = reg.counter("casched_net_frames_out_total").value();
-  const std::uint64_t messagesBefore =
-      reg.counter("casched_net_messages_out_total").value();
-  const std::uint64_t coalescedBefore =
-      reg.counter("casched_net_coalesced_frames_out_total").value();
-
-  LiveRunOptions options;
-  options.heuristic = "msf";
-  options.timeScale = 300.0;
-  options.seed = 7;
-  options.wallTimeoutSeconds = 30.0;
-  const LiveRunReport live = runLoopbackScenario("live-loopback", options);
-  ASSERT_FALSE(live.timedOut);
-  EXPECT_EQ(live.lost, 0u);
-
-  const std::uint64_t frames =
-      reg.counter("casched_net_frames_out_total").value() - framesBefore;
-  const std::uint64_t messages =
-      reg.counter("casched_net_messages_out_total").value() - messagesBefore;
-  const std::uint64_t coalesced =
-      reg.counter("casched_net_coalesced_frames_out_total").value() - coalescedBefore;
-  EXPECT_GT(coalesced, 0u);
-  EXPECT_LT(frames, messages) << "coalescing saved no frames: " << frames
-                              << " frames for " << messages << " messages";
-}
-
 TEST(NetRuntime, SimAndLiveProduceTheSamePerTaskSpanChains) {
   // The observability acceptance bar: because every lifecycle span except
   // kStart is recorded inside the shared cas::Agent core (and kStart by the

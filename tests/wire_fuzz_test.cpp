@@ -185,13 +185,6 @@ std::vector<FuzzTarget> fuzzTargets() {
 
   add("schema-hello", encode(SchemaHelloMsg{}), decodeSchemaHello);
 
-  // The envelope decoder is itself a corruption target: flips hit the inner
-  // type, the count, and the per-message length prefixes.
-  add("coalesced",
-      buildCoalescedPayload(MessageType::kHeartbeat,
-                            {encode(hb), encode(hb), encode(hb)}),
-      expandCoalesced);
-
   return targets;
 }
 
@@ -213,7 +206,7 @@ void decodeMustNotCrash(const FuzzTarget& target, const Bytes& corrupted,
 TEST(WireFuzz, ExemplarsCoverEveryMessageType) {
   // A new MessageType must come with a fuzz exemplar: count the enum range.
   const auto first = static_cast<std::uint16_t>(MessageType::kRegister);
-  const auto last = static_cast<std::uint16_t>(MessageType::kCoalesced);
+  const auto last = static_cast<std::uint16_t>(MessageType::kSchemaHello);
   EXPECT_EQ(fuzzTargets().size(), static_cast<std::size_t>(last - first + 1));
 }
 
@@ -352,38 +345,6 @@ TEST(WireFuzz, HandshakeCorruptionIsRejectedAsSchemaMismatch) {
     } catch (const FrameDecodeError& e) {
       EXPECT_EQ(e.kind(), FrameError::kSchemaMismatch)
           << "seed " << round << ": " << e.what();
-    }
-  }
-}
-
-TEST(WireFuzz, CoalescedEnvelopeCorruptionNeverCrashesOrEscapesUntyped) {
-  // Corrupt the envelope body, then frame it with a VALID CRC: expansion must
-  // either succeed (flip landed inside an inner payload - the per-message
-  // decoders own that) or throw the named bad-coalesce error. Wire-level
-  // flips are already covered by the CRC test above.
-  const Bytes valid = buildCoalescedPayload(
-      MessageType::kHeartbeat, {encode(HeartbeatMsg{"artimon", 1.0}),
-                                encode(HeartbeatMsg{"spinnaker", 2.0}),
-                                encode(HeartbeatMsg{"sloop", 3.0})});
-  simcore::Xoshiro256 rng(0xF1A9'6666);
-  for (int round = 0; round < 400; ++round) {
-    Bytes corrupted = valid;
-    const std::size_t flips = 1 + rng.nextBelow(3);
-    for (std::size_t f = 0; f < flips; ++f) {
-      corrupted[rng.nextBelow(corrupted.size())] ^=
-          static_cast<std::uint8_t>(1 + rng.nextBelow(255));
-    }
-    if (round % 4 == 0) corrupted.resize(rng.nextBelow(corrupted.size() + 1));
-    FrameDecoder decoder;
-    decoder.feed(buildFrame(MessageType::kCoalesced, corrupted));
-    try {
-      while (decoder.next()) {
-      }
-    } catch (const FrameDecodeError& e) {
-      EXPECT_EQ(e.kind(), FrameError::kBadCoalesce)
-          << "seed " << round << ": " << e.what();
-    } catch (const std::exception& e) {
-      FAIL() << "seed " << round << ": non-frame exception: " << e.what();
     }
   }
 }

@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <set>
+#include <thread>
 
+#include "obs/metrics.hpp"
 #include "simcore/rng.hpp"
 #include "util/error.hpp"
 #include "wire/framing.hpp"
@@ -150,14 +153,15 @@ TEST(Messages, ServerUpDownShutdownRoundTrip) {
 
 TEST(Messages, TypeNamesAreUnique) {
   std::set<std::string> names;
-  for (int t = 1; t <= 25; ++t) {
+  const int last = static_cast<int>(MessageType::kSchemaHello);
+  for (int t = 1; t <= last; ++t) {
     EXPECT_TRUE(isKnownMessageType(static_cast<std::uint16_t>(t)));
     names.insert(messageTypeName(static_cast<MessageType>(t)));
   }
-  EXPECT_EQ(names.size(), 25u);
+  EXPECT_EQ(names.size(), static_cast<std::size_t>(last));
   EXPECT_EQ(messageTypeName(static_cast<MessageType>(999)), "unknown");
   EXPECT_FALSE(isKnownMessageType(0));
-  EXPECT_FALSE(isKnownMessageType(26));
+  EXPECT_FALSE(isKnownMessageType(static_cast<std::uint16_t>(last + 1)));
   EXPECT_FALSE(isKnownMessageType(999));
 }
 
@@ -299,34 +303,43 @@ TEST(Framing, RejectsWrongVersionNamingTheValue) {
 }
 
 TEST(Framing, RejectsV2PeersNamingBothVersions) {
-  // A v2 build frames the same payloads under version 2; a v5 decoder must
-  // reject the frame with an error naming the offending and expected version
-  // instead of misreading newer fields (or drowning the mismatch in checksum
-  // noise - the version check runs before the CRC check on purpose).
-  Bytes frame = buildFrame(MessageType::kHeartbeat, encode(HeartbeatMsg{"old", 1.0}));
-  frame[4] = 2;  // little-endian version word, first byte after the length
-  frame[5] = 0;
-  FrameDecoder dec;
-  dec.feed(frame);
-  try {
-    dec.next();
-    FAIL() << "expected DecodeError";
-  } catch (const util::DecodeError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("got 2"), std::string::npos) << what;
-    EXPECT_NE(what.find("want 5"), std::string::npos) << what;
+  // A v2 (or v5) build frames the same payloads under its own version; this
+  // decoder must reject the frame with an error naming the offending and
+  // expected version instead of misreading newer fields (or drowning the
+  // mismatch in checksum noise - the version check runs before the CRC check
+  // on purpose).
+  const std::string want = "want " + std::to_string(kProtocolVersion);
+  for (const int oldVersion : {2, 5}) {
+    Bytes frame = buildFrame(MessageType::kHeartbeat, encode(HeartbeatMsg{"old", 1.0}));
+    frame[4] = static_cast<std::uint8_t>(oldVersion);  // little-endian version word
+    frame[5] = 0;
+    FrameDecoder dec;
+    dec.feed(frame);
+    try {
+      dec.next();
+      FAIL() << "expected DecodeError for v" << oldVersion;
+    } catch (const util::DecodeError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("got " + std::to_string(oldVersion)), std::string::npos) << what;
+      EXPECT_NE(what.find(want), std::string::npos) << what;
+    }
   }
 }
 
 TEST(Framing, RejectsUnknownMessageTypeNamingTheValue) {
-  Bytes frame = buildFrame(static_cast<MessageType>(77), {});
-  FrameDecoder dec;
-  dec.feed(frame);
-  try {
-    dec.next();
-    FAIL() << "expected DecodeError";
-  } catch (const util::DecodeError& e) {
-    EXPECT_NE(std::string(e.what()).find("77"), std::string::npos) << e.what();
+  // 25 was v5's multi-message envelope; v6 frames carry one message each.
+  for (const int rawType : {77, 25}) {
+    Bytes frame = buildFrame(static_cast<MessageType>(rawType), {});
+    FrameDecoder dec;
+    dec.feed(frame);
+    try {
+      dec.next();
+      FAIL() << "expected DecodeError for type " << rawType;
+    } catch (const FrameDecodeError& e) {
+      EXPECT_EQ(e.kind(), FrameError::kBadType);
+      EXPECT_NE(std::string(e.what()).find(std::to_string(rawType)), std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -388,89 +401,6 @@ TEST(Framing, CrcTrailerRejectsCorruptedTrailer) {
     FAIL() << "expected FrameDecodeError";
   } catch (const FrameDecodeError& e) {
     EXPECT_EQ(e.kind(), FrameError::kBadChecksum);
-  }
-}
-
-TEST(Framing, CoalescedFrameExpandsToInnerFramesInOrder) {
-  std::vector<Bytes> payloads;
-  for (int i = 0; i < 5; ++i) {
-    payloads.push_back(encode(LoadReportMsg{"s", 1.0 * i, 0, 0}));
-  }
-  FrameDecoder dec;
-  dec.feed(buildCoalescedFrame(MessageType::kLoadReport, payloads));
-  for (int i = 0; i < 5; ++i) {
-    const auto f = dec.next();
-    ASSERT_TRUE(f.has_value());
-    EXPECT_EQ(f->type, MessageType::kLoadReport);
-    EXPECT_DOUBLE_EQ(decodeLoadReport(f->payload).loadAverage, 1.0 * i);
-  }
-  EXPECT_FALSE(dec.next().has_value());
-}
-
-TEST(Framing, CoalescedRejectsNonCoalescableInnerType) {
-  // Control traffic (registration, hellos, ...) must not hide inside an
-  // envelope; nor may envelopes nest.
-  Bytes body;
-  Writer w(body);
-  w.u16(static_cast<std::uint16_t>(MessageType::kRegister));
-  w.u32(1);
-  w.bytes(encode(RegisterMsg{}));
-  FrameDecoder dec;
-  dec.feed(buildFrame(MessageType::kCoalesced, body));
-  try {
-    dec.next();
-    FAIL() << "expected FrameDecodeError";
-  } catch (const FrameDecodeError& e) {
-    EXPECT_EQ(e.kind(), FrameError::kBadCoalesce);
-  }
-}
-
-TEST(Framing, CoalescedRejectsHostileCountBeforeAllocation) {
-  // count claims 4 billion messages in a 10-byte payload; the decoder must
-  // bound it against what the payload could physically hold before reserving.
-  Bytes body;
-  Writer w(body);
-  w.u16(static_cast<std::uint16_t>(MessageType::kHeartbeat));
-  w.u32(0xFFFFFFFFu);
-  w.u32(0);
-  FrameDecoder dec;
-  dec.feed(buildFrame(MessageType::kCoalesced, body));
-  try {
-    dec.next();
-    FAIL() << "expected FrameDecodeError";
-  } catch (const FrameDecodeError& e) {
-    EXPECT_EQ(e.kind(), FrameError::kBadCoalesce);
-    EXPECT_NE(std::string(e.what()).find("count"), std::string::npos) << e.what();
-  }
-}
-
-TEST(Framing, CoalescedRejectsTruncatedInnerMessage) {
-  Bytes body;
-  Writer w(body);
-  w.u16(static_cast<std::uint16_t>(MessageType::kHeartbeat));
-  w.u32(2);
-  w.bytes(encode(HeartbeatMsg{"s", 1.0}));
-  // Second entry's length prefix promises more bytes than remain.
-  w.u32(4096);
-  FrameDecoder dec;
-  dec.feed(buildFrame(MessageType::kCoalesced, body));
-  EXPECT_THROW(dec.next(), FrameDecodeError);
-}
-
-TEST(Framing, CoalescedRejectsTrailingGarbage) {
-  Bytes body;
-  Writer w(body);
-  w.u16(static_cast<std::uint16_t>(MessageType::kHeartbeat));
-  w.u32(1);
-  w.bytes(encode(HeartbeatMsg{"s", 1.0}));
-  w.u8(0xEE);  // one byte past the declared messages
-  FrameDecoder dec;
-  dec.feed(buildFrame(MessageType::kCoalesced, body));
-  try {
-    dec.next();
-    FAIL() << "expected FrameDecodeError";
-  } catch (const FrameDecodeError& e) {
-    EXPECT_EQ(e.kind(), FrameError::kBadCoalesce);
   }
 }
 
@@ -605,52 +535,78 @@ TEST(Handshake, TrafficBeforeHelloIsRejected) {
   }
 }
 
-TEST(Queue, FlushCoalescesConsecutiveSameTypeRuns) {
+TEST(Queue, FlushWritesEveryQueuedMessageInQueueOrder) {
   auto [a, b] = LoopbackTransport::createPair();
   for (int i = 0; i < 3; ++i) {
     a->queue(MessageType::kLoadReport, encode(LoadReportMsg{"s", 1.0 * i, 0, 0}));
   }
-  a->queue(MessageType::kRegister, encode(RegisterMsg{}));  // not coalescable
+  a->queue(MessageType::kRegister, encode(RegisterMsg{}));
   for (int i = 0; i < 2; ++i) {
     a->queue(MessageType::kHeartbeat, encode(HeartbeatMsg{"s", 1.0 * i}));
   }
-  // 3 load reports -> 1 frame, register -> 1 frame, 2 heartbeats -> 1 frame.
-  EXPECT_EQ(a->flushQueued(), 3u);
+  EXPECT_EQ(a->flushQueued(), 6u);
   std::vector<MessageType> types;
-  b->poll([&](Frame f) { types.push_back(f.type); });
+  EXPECT_EQ(b->poll([&](Frame f) { types.push_back(f.type); }), 6u);
   const std::vector<MessageType> want = {
       MessageType::kLoadReport, MessageType::kLoadReport, MessageType::kLoadReport,
       MessageType::kRegister,   MessageType::kHeartbeat,  MessageType::kHeartbeat};
   EXPECT_EQ(types, want);
+  EXPECT_EQ(a->flushQueued(), 0u);  // queue drained
 }
 
-TEST(Queue, SingletonRunsSkipTheEnvelope) {
-  auto [a, b] = LoopbackTransport::createPair();
-  a->queue(MessageType::kLoadReport, encode(LoadReportMsg{"s", 1.0, 0, 0}));
-  EXPECT_EQ(a->flushQueued(), 1u);
-  int got = 0;
-  b->poll([&](Frame f) {
-    EXPECT_EQ(f.type, MessageType::kLoadReport);
-    ++got;
-  });
-  EXPECT_EQ(got, 1);
-  EXPECT_EQ(a->flushQueued(), 0u);  // queue drained
+/// Queues a mixed burst of `count` small messages on `a`, flushes it in one
+/// write, and checks that `b` receives every message in queue order.
+void expectBurstArrivesInOrder(Transport& a, Transport& b, int count) {
+  std::vector<std::pair<MessageType, double>> want;
+  for (int i = 0; i < count; ++i) {
+    const double mark = 1.0 * i;
+    switch (i % 3) {
+      case 0:
+        a.queue(MessageType::kLoadReport, encode(LoadReportMsg{"s", mark, 0, 0}));
+        want.emplace_back(MessageType::kLoadReport, mark);
+        break;
+      case 1:
+        a.queue(MessageType::kHeartbeat, encode(HeartbeatMsg{"s", mark}));
+        want.emplace_back(MessageType::kHeartbeat, mark);
+        break;
+      default:
+        a.queue(MessageType::kScheduleRequest,
+                encode(ScheduleRequestMsg{static_cast<std::uint64_t>(i), "p", 0, 0, 0, 0}));
+        want.emplace_back(MessageType::kScheduleRequest, mark);
+        break;
+    }
+  }
+  EXPECT_EQ(a.flushQueued(), static_cast<std::size_t>(count));
+  std::vector<std::pair<MessageType, double>> got;
+  auto collect = [&](Frame f) {
+    double mark = -1.0;
+    switch (f.type) {
+      case MessageType::kLoadReport: mark = decodeLoadReport(f.payload).loadAverage; break;
+      case MessageType::kHeartbeat: mark = decodeHeartbeat(f.payload).sampleTime; break;
+      case MessageType::kScheduleRequest:
+        mark = static_cast<double>(decodeScheduleRequest(f.payload).taskId);
+        break;
+      default: break;
+    }
+    got.emplace_back(f.type, mark);
+  };
+  for (int tries = 0; tries < 2000 && got.size() < want.size(); ++tries) {
+    b.poll(collect);
+    if (got.size() < want.size()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(got, want);
 }
 
 TEST(Queue, OrderAcrossTypesIsPreserved) {
   auto [a, b] = LoopbackTransport::createPair();
-  // Interleaved types: every run has length 1, so nothing coalesces, and the
-  // arrival order must match the queue order exactly.
-  a->queue(MessageType::kLoadReport, encode(LoadReportMsg{"s", 1.0, 0, 0}));
-  a->queue(MessageType::kHeartbeat, encode(HeartbeatMsg{"s", 1.0}));
-  a->queue(MessageType::kLoadReport, encode(LoadReportMsg{"s", 2.0, 0, 0}));
-  EXPECT_EQ(a->flushQueued(), 3u);
-  std::vector<MessageType> types;
-  b->poll([&](Frame f) { types.push_back(f.type); });
-  const std::vector<MessageType> want = {MessageType::kLoadReport,
-                                         MessageType::kHeartbeat,
-                                         MessageType::kLoadReport};
-  EXPECT_EQ(types, want);
+  expectBurstArrivesInOrder(*a, *b, 300);
+
+  // The same burst over a real socket: one send loop carries every frame.
+  TcpListener listener(0);
+  auto client = TcpTransport::connect("127.0.0.1", listener.port());
+  auto serverSide = listener.accept(2000);
+  ASSERT_NE(serverSide, nullptr);
+  expectBurstArrivesInOrder(*client, *serverSide, 300);
 }
 
 TEST(Tcp, LoopbackConnectionCarriesFrames) {
@@ -676,6 +632,35 @@ TEST(Tcp, LoopbackConnectionCarriesFrames) {
   }
   ASSERT_EQ(reply.servers.size(), 1u);
   EXPECT_EQ(reply.servers[0], "artimon");
+}
+
+TEST(Tcp, FramesOutCountsOnlyWritesThatCompleted) {
+  // Closing the accepting side with the client's hello unread resets the
+  // connection, so the client's writes soon fail and close its link. A
+  // write that failed sent nothing and must count neither frames nor bytes.
+  TcpListener listener(0);
+  auto client = TcpTransport::connect("127.0.0.1", listener.port());
+  auto serverSide = listener.accept(2000);
+  ASSERT_NE(serverSide, nullptr);
+  serverSide->close();
+
+  obs::Registry& reg = obs::Registry::global();
+  obs::Counter& framesOut = reg.counter("casched_net_frames_out_total");
+  obs::Counter& bytesOut = reg.counter("casched_net_bytes_out_total");
+  const std::uint64_t framesBefore = framesOut.value();
+  const std::uint64_t bytesBefore = bytesOut.value();
+  const Bytes payload = encode(HeartbeatMsg{"s", 1.0});
+  std::uint64_t completed = 0;
+  for (int tries = 0; tries < 2000 && !client->closed(); ++tries) {
+    client->send(MessageType::kHeartbeat, payload);
+    if (client->closed()) break;
+    ++completed;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(client->closed());
+  EXPECT_EQ(framesOut.value() - framesBefore, completed);
+  EXPECT_EQ(bytesOut.value() - bytesBefore,
+            completed * buildFrame(MessageType::kHeartbeat, payload).size());
 }
 
 TEST(Tcp, AcceptTimesOutWithoutClient) {

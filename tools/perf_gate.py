@@ -112,39 +112,6 @@ def check_overhead(path, max_overhead):
     return overhead, failed
 
 
-def check_frame_encode(path):
-    """Returns the informational coalescing row from the BM_FrameEncode pair.
-
-    Compares BM_FrameEncodeSingleton/64 against BM_FrameEncodeBatch/64 (time
-    and wire_bytes counter): how much cheaper protocol v5's coalesced envelope
-    makes a 64-message flush than 64 individual frames. Reported in the step
-    summary, never gated - encode cost is dominated by the scenarios above,
-    and the byte ratio is a constant of the frame format.
-    """
-    with open(path) as f:
-        record = json.load(f)
-    rows = {}
-    for bench in record.get("benchmarks", []):
-        name = bench.get("name", "")
-        for base in ("BM_FrameEncodeSingleton/64", "BM_FrameEncodeBatch/64"):
-            if name == base + "_median" or (name == base and base not in rows):
-                rows[base] = (float(bench["real_time"]),
-                              float(bench.get("wire_bytes", 0.0)))
-    single = rows.get("BM_FrameEncodeSingleton/64")
-    batch = rows.get("BM_FrameEncodeBatch/64")
-    if single is None or batch is None:
-        print(f"perf gate: frame-encode pair missing from {path}; "
-              "skipping the coalescing row")
-        return None
-    time_ratio = single[0] / batch[0] if batch[0] > 0 else 0.0
-    byte_ratio = single[1] / batch[1] if batch[1] > 0 else 0.0
-    print("perf gate: frame-encode coalescing (64 msgs): {:.0f}ns vs {:.0f}ns "
-          "singleton = {:.2f}x faster, {:.0f} vs {:.0f} wire bytes = {:.2f}x "
-          "smaller (informational)".format(
-              batch[0], single[0], time_ratio, batch[1], single[1], byte_ratio))
-    return (single, batch, time_ratio, byte_ratio)
-
-
 def load_baseline_doc(path):
     with open(path) as f:
         return json.load(f)
@@ -209,7 +176,7 @@ def check_speedup(baseline_doc, micro_path, min_speedup, current, baseline_path)
 
 def write_step_summary(rows, unbaselined, missing, tolerance, failed,
                        overhead=None, overhead_failed=False, max_overhead=0.0,
-                       speedup_rows=None, min_speedup=0.0, frame_encode=None):
+                       speedup_rows=None, min_speedup=0.0):
     """Appends a Markdown comparison table to $GITHUB_STEP_SUMMARY, if set."""
     path = os.environ.get("GITHUB_STEP_SUMMARY")
     if not path:
@@ -244,19 +211,6 @@ def write_step_summary(rows, unbaselined, missing, tolerance, failed,
         for name, pre_val, cur_val, speedup, over in speedup_rows:
             lines.append("| {} | {:,.0f} | {:,.0f} | {:.2f}× | {} |".format(
                 name, pre_val, cur_val, speedup, ":x:" if over else ""))
-    if frame_encode is not None:
-        single, batch, time_ratio, byte_ratio = frame_encode
-        lines += [
-            "",
-            "### Wire frame coalescing, 64-message flush (informational)",
-            "",
-            "| encode path | time (ns) | wire bytes |",
-            "|---|---:|---:|",
-            "| 64 singleton frames | {:,.0f} | {:,.0f} |".format(*single),
-            "| 1 coalesced frame | {:,.0f} | {:,.0f} |".format(*batch),
-            "| coalescing gain | {:.2f}× faster | {:.2f}× smaller |".format(
-                time_ratio, byte_ratio),
-        ]
     with open(path, "a") as f:
         f.write("\n".join(lines) + "\n\n")
 
@@ -279,10 +233,6 @@ def main():
     parser.add_argument("--min-speedup", type=float, default=0.0,
                         help="required BM_ScheduleDecision speedup over the "
                              "baseline's pre_rebuild archive (0 disables)")
-    parser.add_argument("--frame-encode",
-                        help="google-benchmark JSON with the BM_FrameEncode "
-                             "pair; adds an informational coalescing row to "
-                             "the step summary")
     args = parser.parse_args()
 
     current = load_scenarios(args.current)
@@ -354,10 +304,6 @@ def main():
     if args.overhead:
         overhead, overhead_failed = check_overhead(args.overhead, args.max_overhead)
 
-    frame_encode = None
-    if args.frame_encode:
-        frame_encode = check_frame_encode(args.frame_encode)
-
     speedup_rows = None
     speedup_failed = False
     if args.min_speedup > 0.0:
@@ -377,7 +323,7 @@ def main():
                   or speedup_failed)
     write_step_summary(summary_rows, unbaselined, missing, args.tolerance, failed,
                        overhead, overhead_failed, args.max_overhead,
-                       speedup_rows, args.min_speedup, frame_encode)
+                       speedup_rows, args.min_speedup)
     if unbaselined:
         print(f"perf gate: FAIL - scenario(s) not in the baseline: "
               f"{', '.join(unbaselined)}; regenerate it with --update")
