@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
@@ -248,6 +250,60 @@ TEST(MeshSim, SameSeedIsBitIdentical) {
     EXPECT_DOUBLE_EQ(a.tasks[i].completion, b.tasks[i].completion);
   }
   EXPECT_EQ(a.mesh.forwards, b.mesh.forwards);
+}
+
+/// FNV-1a over every task's placement (index, server, completion bits,
+/// status) and the four mesh counters: one number per run that moves when
+/// any mesh placement or accounting does.
+std::uint64_t placementDigest(const metrics::RunResult& result) {
+  std::uint64_t hash = 1469598103934665603ULL;
+  const auto mix = [&](const void* data, std::size_t size) {
+    for (std::size_t i = 0; i < size; ++i) {
+      hash ^= static_cast<const unsigned char*>(data)[i];
+      hash *= 1099511628211ULL;
+    }
+  };
+  const auto mixWord = [&](std::uint64_t word) { mix(&word, sizeof word); };
+  for (const metrics::TaskOutcome& t : result.tasks) {
+    mixWord(t.index);
+    mix(t.server.data(), t.server.size());
+    mixWord(std::bit_cast<std::uint64_t>(t.completion));
+    mixWord(static_cast<std::uint64_t>(t.status));
+  }
+  mixWord(result.mesh.forwards);
+  mixWord(result.mesh.forwardDenies);
+  mixWord(result.mesh.steals);
+  mixWord(result.mesh.parked);
+  return hash;
+}
+
+TEST(MeshSim, PlacementsArePinned) {
+  // Recorded before the mesh bookkeeping moved into mesh::AgentNode: the
+  // refactor must not move a single simulated placement or counter.
+  struct Pin {
+    const char* scenario;
+    std::uint64_t seed;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"mesh/saturated_rescue", 3, 0x55a3fc13f53f8293ULL},
+      {"mesh/saturated_rescue", 7, 0x3656ebc08afd9ad9ULL},
+      {"mesh/saturated_rescue", 11, 0x9eac3272c2160778ULL},
+      {"mesh/hierarchy_4agent", 3, 0xf6cce854464c38c4ULL},
+      {"mesh/hierarchy_4agent", 7, 0xde3f0a5033eeb477ULL},
+      {"mesh/hierarchy_4agent", 11, 0x5507da5f8949a9b1ULL},
+      {"mesh/steal_tree", 3, 0x1f267db6c1a8f3fdULL},
+      {"mesh/steal_tree", 7, 0x5a0376ef90d1103fULL},
+      {"mesh/steal_tree", 11, 0x42a8ac355df3dce4ULL},
+  };
+  for (const Pin& pin : pins) {
+    const CompiledScenario compiled =
+        compileScenario(scenario::findScenario(pin.scenario), pin.seed);
+    const metrics::RunResult result = runScenario(compiled, "msf");
+    EXPECT_EQ(placementDigest(result), pin.digest)
+        << pin.scenario << " seed " << pin.seed << ": 0x" << std::hex
+        << placementDigest(result);
+  }
 }
 
 TEST(MeshSim, SuiteAndScenarioRunnerRunTheSameMesh) {
