@@ -90,8 +90,6 @@ int runAgent(int argc, const char* const* argv) {
                  "sim seconds between kAgentSync broadcasts and snapshot saves");
   args.addString("snapshot", "",
                  "HTM snapshot file: warm-start source at boot, rewritten every sync");
-  args.addInt("metrics-port", -1,
-              "loopback HTTP port serving the metrics registry (-1 disables, 0 picks)");
   args.addString("log-level", "warn", "trace | debug | info | warn | error | off");
   if (!args.parse(argc, argv)) return 0;
   applyLogLevel(args);
@@ -108,7 +106,6 @@ int runAgent(int argc, const char* const* argv) {
   config.mode = net::parseAgentMode(args.getString("mode"));
   config.syncPeriod = args.getDouble("sync-period");
   config.snapshotPath = args.getString("snapshot");
-  config.metricsPort = static_cast<int>(args.getInt("metrics-port"));
   if (!args.getString("peers").empty()) {
     for (const std::string& peer : util::split(args.getString("peers"), ',')) {
       config.peers.push_back(std::string(util::trim(peer)));
@@ -121,9 +118,6 @@ int runAgent(int argc, const char* const* argv) {
             << ") listening on 127.0.0.1:" << daemon.port();
   if (daemon.warmStartedRows() > 0) {
     std::cout << ", warm-started " << daemon.warmStartedRows() << " HTM rows";
-  }
-  if (daemon.metricsHttpPort() != 0) {
-    std::cout << ", metrics on 127.0.0.1:" << daemon.metricsHttpPort();
   }
   std::cout << "\n";
   daemon.run(gStop);
@@ -294,15 +288,14 @@ int runDemo(int argc, const char* const* argv) {
           share.name.c_str(), share.tasks, share.completed, share.lost,
           static_cast<unsigned long long>(share.resubmissions));
     }
-    if (report.meshForwards + report.meshSteals + report.meshParked +
-            report.meshDenies + report.clientDenies > 0) {
+    if (report.mesh.total() + report.clientDenies > 0) {
       std::cout << util::strformat(
           "mesh: %llu forwarded, %llu parked, %llu stolen, %llu denied, "
           "%llu client denies\n",
-          static_cast<unsigned long long>(report.meshForwards),
-          static_cast<unsigned long long>(report.meshParked),
-          static_cast<unsigned long long>(report.meshSteals),
-          static_cast<unsigned long long>(report.meshDenies),
+          static_cast<unsigned long long>(report.mesh.forwards),
+          static_cast<unsigned long long>(report.mesh.parked),
+          static_cast<unsigned long long>(report.mesh.steals),
+          static_cast<unsigned long long>(report.mesh.forwardDenies),
           static_cast<unsigned long long>(report.clientDenies));
     }
   }

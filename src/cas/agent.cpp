@@ -260,26 +260,32 @@ bool Agent::hasFeasibleServer(const std::string& typeName) {
   return false;
 }
 
-std::optional<double> Agent::previewBestCompletion(const workload::TaskInstance& task) {
-  // Dry-run of the scheduler on the current state: no HTM commit, no dispatch,
-  // no counters. Mesh routers use the answer as "predicted local completion".
+mesh::LocalView Agent::meshView(const workload::TaskInstance& task, std::uint32_t hops,
+                                const mesh::MeshConfig& config) {
+  mesh::LocalView view;
+  view.feasible = hasFeasibleServer(task.type.name);
+  view.now = sim_.now();
+  view.meanLoad = meanLoadEstimate();
+  view.hops = hops;
+  if (!view.feasible || config.overloadThreshold <= 0.0) return view;
+  // Predicted completion: a dry run of the scheduler on the current state
+  // (no HTM commit, no dispatch, no counters).
   if (scheduler_->usesHtm()) htm_.advanceAll(sim_.now());
   buildCandidates(task);
-  if (query_.candidates.empty()) return std::nullopt;
+  if (query_.candidates.empty()) return view;
   scheduler_->previewInto(query_, previewDecision_);
-  if (!previewDecision_.chosen.has_value()) return std::nullopt;
+  if (!previewDecision_.chosen.has_value()) return view;
   const std::size_t chosen = *previewDecision_.chosen;
   if (chosen < previewDecision_.previews.size() &&
       previewDecision_.previews[chosen].completionNew > 0.0) {
-    return previewDecision_.previews[chosen].completionNew;
+    view.predictedCompletion = previewDecision_.previews[chosen].completionNew;
+  } else if (chosen < previewDecision_.scores.size()) {
+    // Load-based heuristics fill scores, not previews; the MCT-style score
+    // is itself an estimated duration, so now + dispatch delay + score is
+    // the best completion estimate available without an HTM.
+    view.predictedCompletion = query_.now + query_.startDelay + previewDecision_.scores[chosen];
   }
-  // Load-based heuristics fill scores, not previews; the MCT-style score is
-  // itself an estimated duration, so now + dispatch delay + score is the best
-  // completion estimate available without an HTM.
-  if (chosen < previewDecision_.scores.size()) {
-    return query_.now + query_.startDelay + previewDecision_.scores[chosen];
-  }
-  return std::nullopt;
+  return view;
 }
 
 void Agent::scheduleOne(const workload::TaskInstance& task) {

@@ -28,6 +28,7 @@
 #include "core/htm_snapshot.hpp"
 #include "core/schedulers.hpp"
 #include "core/server_id.hpp"
+#include "mesh/router.hpp"
 #include "metrics/record.hpp"
 #include "platform/calibration.hpp"
 #include "simcore/engine.hpp"
@@ -162,12 +163,13 @@ class Agent {
   // --- mesh probes (pure: no HTM commit, no dispatch, no task state) ---
   /// True when at least one live registered server can solve `typeName`.
   bool hasFeasibleServer(const std::string& typeName);
-  /// Absolute predicted completion time of `task` on the best candidate the
-  /// scheduler would pick right now - the mesh router's overload signal.
-  /// Empty when no live server can run the task. HTM heuristics answer with
-  /// the preview's completion date; load-based heuristics with
-  /// now + startDelay + their duration score.
-  std::optional<double> previewBestCompletion(const workload::TaskInstance& task);
+  /// This agent's side of a mesh routing decision for `task` after `hops`
+  /// transfers. With an overload trigger in `config`, the predicted
+  /// completion is the absolute completion time on the candidate the
+  /// scheduler would pick right now: HTM heuristics answer with the
+  /// preview's date, load-based ones with now + startDelay + their score.
+  mesh::LocalView meshView(const workload::TaskInstance& task, std::uint32_t hops,
+                           const mesh::MeshConfig& config);
 
   // --- decision attribution (mesh observability) ---
   /// Label stamped into every DecisionRecord this agent emits (the agent's
@@ -264,7 +266,7 @@ class Agent {
   // Decision scratch, reused across every placement (zero-alloc steady state).
   core::ScheduleQuery query_;
   core::ScheduleDecision decision_;
-  core::ScheduleDecision previewDecision_;  ///< previewBestCompletion scratch
+  core::ScheduleDecision previewDecision_;  ///< meshView scratch
 };
 
 }  // namespace casched::cas

@@ -41,8 +41,7 @@ GridSystem::GridSystem(const platform::Testbed& testbed,
     : metatask_(metatask),
       schedulerName_(schedulerName),
       config_(config),
-      mesh_(mesh),
-      router_(mesh::routerConfigFrom(mesh)) {
+      mesh_(mesh) {
   CASCHED_CHECK(!testbed.servers.empty(), "testbed has no servers");
   CASCHED_CHECK(!metatask_.tasks.empty(), "metatask is empty");
   CASCHED_CHECK(!mesh_.enabled || agents.count >= 2, "mesh needs at least two agents");
@@ -63,15 +62,16 @@ GridSystem::GridSystem(const platform::Testbed& testbed,
         sim_, core::makeScheduler(schedulerName, config_.schedulerSeed), testbed.costs,
         agentConfig);
     node.agent->setExpectedTasks(metatask_.size());
-    node.agent->setTaskTerminalObserver(
-        [this](const metrics::TaskOutcome&) { onTerminal(); });
+    node.agent->setTaskTerminalObserver([this, i](const metrics::TaskOutcome& outcome) {
+      if (nodes_[i].mesh) relayTerminal(i, outcome.index);
+      onTerminal();
+    });
     if (!mesh_.enabled) continue;
-    node.name = util::strformat("agent%zu", i);
-    node.agent->setDecisionLabel(node.name);
+    node.mesh.emplace(mesh::MeshConfig::from(mesh_), util::strformat("agent%zu", i));
+    node.agent->setDecisionLabel(node.mesh->name());
     node.agent->setDecisionAnnotator(
         [this, i](std::uint64_t taskId, obs::DecisionRecord& record) {
-          const auto it = nodes_[i].origin.find(taskId);
-          record.origin = it == nodes_[i].origin.end() ? "local" : it->second;
+          record.origin = nodes_[i].mesh->originOf(taskId);
         });
   }
 
@@ -182,7 +182,7 @@ void GridSystem::submitMetatask() {
       const std::size_t target =
           mesh_.topology == "tree" ? mesh_.root : task.index % nodes_.size();
       sim_.scheduleAt(task.arrival + config_.controlLatency, [this, target, &task] {
-        onRequest(target, task, /*hops=*/0, /*origin=*/std::string());
+        onRequest(target, task, /*hops=*/0, /*fromAgent=*/std::string());
       });
     }
     return;
@@ -204,108 +204,116 @@ void GridSystem::submitMetatask() {
   }
 }
 
-/// Peer digests for a decision at `self`, excluding the agent the request
-/// came from (a forward never bounces straight back). The simulator reads
-/// peers directly - the live mesh sees the same numbers one sync period
-/// stale, which can shift individual placements but not completion counts.
-std::vector<mesh::PeerDigest> GridSystem::peerDigests(std::size_t self,
-                                                      std::size_t exclude) const {
+/// Peer digests for a decision at `self`. The simulator reads peers
+/// directly - the live mesh sees the same numbers one sync period stale,
+/// which can shift individual placements but not completion counts.
+std::vector<mesh::PeerDigest> GridSystem::peerDigests(std::size_t self) const {
   std::vector<mesh::PeerDigest> digests;
   digests.reserve(nodes_.size());
   for (std::size_t j = 0; j < nodes_.size(); ++j) {
-    if (j == self || j == exclude) continue;
+    if (j == self) continue;
     const Node& peer = nodes_[j];
-    mesh::PeerDigest d;
-    d.index = j;
-    d.meanLoad = peer.agent->meanLoadEstimate();
-    d.liveServers = static_cast<std::uint32_t>(peer.agent->liveServerCount());
-    d.queuedTasks = static_cast<std::uint32_t>(peer.parked.size());
-    digests.push_back(d);
+    digests.push_back({j, peer.mesh->name(), peer.agent->meanLoadEstimate(),
+                       static_cast<std::uint32_t>(peer.agent->liveServerCount()),
+                       static_cast<std::uint32_t>(peer.mesh->parked().size())});
   }
   return digests;
 }
 
-void GridSystem::onRequest(std::size_t self, const workload::TaskInstance& task,
-                           std::uint32_t hops, const std::string& origin) {
-  Node& node = nodes_[self];
-  mesh::LocalView local;
-  local.feasible = node.agent->hasFeasibleServer(task.type.name);
-  if (local.feasible && router_.overloadThreshold > 0.0) {
-    local.predictedCompletion = node.agent->previewBestCompletion(task);
-  }
-  local.now = sim_.now();
-  local.meanLoad = node.agent->meanLoadEstimate();
-  local.hops = hops;
+std::size_t GridSystem::nodeIndex(const std::string& name) const {
+  std::size_t i = 0;
+  while (nodes_.at(i).mesh->name() != name) ++i;
+  return i;
+}
 
-  const std::size_t from = origin.empty() ? self : originIndex_.at(task.index);
-  const std::vector<mesh::PeerDigest> peers = peerDigests(self, from);
-  const mesh::RouteDecision decision = mesh::decideRoute(router_, local, peers);
+void GridSystem::onRequest(std::size_t self, const workload::TaskInstance& task,
+                           std::uint32_t hops, const std::string& fromAgent) {
+  Node& node = nodes_[self];
+  const mesh::LocalView local = node.agent->meshView(task, hops, node.mesh->config());
+  const std::vector<mesh::PeerDigest> peers = peerDigests(self);
+  const mesh::RouteDecision decision = node.mesh->route(task, fromAgent, local, peers);
 
   switch (decision.kind) {
     case mesh::RouteKind::kLocal:
-      if (!origin.empty()) node.origin[task.index] = origin;
       node.agent->requestSchedule(task);
       return;
     case mesh::RouteKind::kForward: {
-      ++meshStats_.forwards;
-      originIndex_[task.index] = self;
       const std::size_t target = decision.peer;
-      const std::string forwardOrigin = "forward:" + node.name;
-      LOG_DEBUG("task " << task.index << " forwarded " << node.name << " -> "
-                        << nodes_[target].name << " (" << decision.reason << ")");
+      LOG_DEBUG("task " << task.index << " forwarded " << node.mesh->name() << " -> "
+                        << nodes_[target].mesh->name() << " (" << decision.reason << ")");
       sim_.scheduleAfter(config_.controlLatency,
-                         [this, target, task, hops, forwardOrigin] {
-                           onRequest(target, task, hops + 1, forwardOrigin);
+                         [this, target, task, hops, from = node.mesh->name()] {
+                           onRequest(target, task, hops + 1, from);
                          });
       return;
     }
     case mesh::RouteKind::kPark:
-      ++meshStats_.parked;
-      node.parked.push_back(task);
       return;
     case mesh::RouteKind::kDeny:
-      ++meshStats_.forwardDenies;
-      LOG_DEBUG("task " << task.index << " denied at " << node.name << " ("
+      LOG_DEBUG("task " << task.index << " denied at " << node.mesh->name() << " ("
                         << decision.reason << ")");
-      denied_.push_back(lostOutcome(task));
-      onTerminal();
+      deny(node, task, fromAgent);
       return;
   }
 }
 
-/// One global steal round: idle agents (live servers, nothing parked) pull
-/// up to stealBatch tasks off the most-loaded parked queue. A single ordered
-/// sweep keeps the round deterministic.
+/// A client's denied task is lost; a forwarding agent hears of the deny one
+/// control latency later and falls back on its own partition.
+void GridSystem::deny(Node& node, const workload::TaskInstance& task,
+                      const std::string& fromAgent) {
+  node.mesh->denied();
+  if (fromAgent.empty()) {
+    denied_.push_back(lostOutcome(task));
+    onTerminal();
+    return;
+  }
+  const std::size_t back = nodeIndex(fromAgent);
+  sim_.scheduleAfter(config_.controlLatency,
+                     [this, back, id = task.index] { onForwardDenied(back, id); });
+}
+
+void GridSystem::onForwardDenied(std::size_t self, std::uint64_t taskId) {
+  Node& node = nodes_[self];
+  const auto bounce =
+      node.mesh->forwardDenied(taskId, [&node](const workload::TaskInstance& task) {
+        return node.agent->hasFeasibleServer(task.type.name);
+      });
+  if (!bounce) return;
+  if (bounce->placeHere) node.agent->requestSchedule(bounce->task);
+  else deny(node, bounce->task, bounce->fromAgent);
+}
+
+/// One global steal round in node order, deterministic: each idle node asks
+/// the peer with the most parked work, the request reaches the victim within
+/// the sweep, and the grant's round trip delays placement by two control
+/// latencies.
 void GridSystem::stealTick() {
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     Node& thief = nodes_[i];
-    if (thief.agent->liveServerCount() == 0 || !thief.parked.empty()) continue;
-    std::size_t victimIndex = nodes_.size();
-    for (std::size_t j = 0; j < nodes_.size(); ++j) {
-      if (j == i || nodes_[j].parked.empty()) continue;
-      if (victimIndex == nodes_.size() ||
-          nodes_[j].parked.size() > nodes_[victimIndex].parked.size()) {
-        victimIndex = j;
-      }
-    }
-    if (victimIndex == nodes_.size()) continue;
-    Node& victim = nodes_[victimIndex];
-    const std::size_t grant = std::min(mesh_.stealBatch, victim.parked.size());
-    const std::string stealOrigin = "steal:" + victim.name;
-    for (std::size_t k = 0; k < grant; ++k) {
-      workload::TaskInstance task = victim.parked.front();
-      victim.parked.pop_front();
-      ++meshStats_.steals;
-      thief.origin[task.index] = stealOrigin;
-      // Steal request + grant round trip before the task can be placed.
-      Agent* agent = thief.agent.get();
+    const std::optional<std::size_t> victim =
+        thief.mesh->stealTarget(thief.agent->liveServerCount(), peerDigests(i));
+    if (!victim) continue;
+    mesh::AgentNode& victimNode = *nodes_[*victim].mesh;
+    mesh::StealPlacement grant = thief.mesh->stealGranted(
+        victimNode.name(), victimNode.stealRequested(thief.mesh->name(), mesh_.stealBatch),
+        [&thief](std::uint64_t taskId) { return thief.agent->knowsTask(taskId); });
+    CASCHED_CHECK(grant.refused.empty(), "simulated task ids are unique");
+    Agent* agent = thief.agent.get();
+    for (workload::TaskInstance& task : grant.place) {
       sim_.scheduleAfter(2.0 * config_.controlLatency,
-                         [agent, task] { agent->requestSchedule(task); });
+                         [agent, task = std::move(task)] { agent->requestSchedule(task); });
     }
   }
   if (terminal_ < metatask_.size()) {
     sim_.scheduleAfter(mesh_.stealPeriod, [this] { stealTick(); });
   }
+}
+
+/// Walks a finished task's hand-off chain back towards the agent its client
+/// asked, as the live relays do, so no node keeps an entry for it.
+void GridSystem::relayTerminal(std::size_t self, std::uint64_t taskId) {
+  std::string from = nodes_[self].mesh->terminal(taskId).fromAgent;
+  while (!from.empty()) from = nodes_[nodeIndex(from)].mesh->terminal(taskId).fromAgent;
 }
 
 void GridSystem::onTerminal() {
@@ -317,7 +325,7 @@ metrics::RunResult GridSystem::run() {
     sim_.scheduleAt(event.time, [this, event] { applyChurn(event); });
   }
   submitMetatask();
-  if (router_.stealing) {
+  if (mesh_.enabled && mesh_.stealPeriod > 0.0) {
     sim_.scheduleAt(mesh_.stealPeriod, [this] { stealTick(); });
   }
   sim_.run(config_.horizon);
@@ -350,7 +358,6 @@ metrics::RunResult GridSystem::buildResult() {
   simRuns->inc();
   simEvents->inc(result.simulatedEvents);
   result.churn = churnStats_;
-  result.mesh = meshStats_;
 
   // Outcomes in metatask-index order: every agent's tasks, the denied ones,
   // and the tasks still parked when the horizon hit (they never reached an
@@ -360,7 +367,9 @@ metrics::RunResult GridSystem::buildResult() {
     for (metrics::TaskOutcome& o : node.agent->collectOutcomes()) {
       result.tasks.push_back(std::move(o));
     }
-    for (const workload::TaskInstance& task : node.parked) {
+    if (!node.mesh) continue;
+    result.mesh += node.mesh->stats();
+    for (const workload::TaskInstance& task : node.mesh->parked()) {
       result.tasks.push_back(lostOutcome(task));
     }
   }

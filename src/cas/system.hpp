@@ -6,23 +6,24 @@
 ///
 /// The paper's model is its one-node case: one agent owning every server.
 /// A scenario with an enabled [mesh] section adds agent nodes, each owning a
-/// rack of the testbed's servers, joined by the shared mesh router (request
+/// rack of the testbed's servers and driving one mesh::AgentNode (request
 /// forwarding to the least-loaded peer, work-stealing off parked queues, flat
-/// or tree topologies). The live loopback harness deploys the same shape
-/// over TCP, and the two agree on completed/lost counts at the same seed.
+/// or tree topologies), and turns its decisions into simulator events: a
+/// forward or deny lands one control latency later, a steal request within
+/// the sweep, granted tasks two latencies later. The live daemons drive the
+/// same AgentNode over TCP; both agree on completed/lost counts per seed.
 /// Every experiment entry point (suite, scenario runner, live comparison)
 /// runs through runExperimentSystem.
 
-#include <deque>
 #include <memory>
+#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cas/agent.hpp"
 #include "cas/churn.hpp"
 #include "cas/server_daemon.hpp"
-#include "mesh/router.hpp"
+#include "mesh/agent_node.hpp"
 #include "metrics/record.hpp"
 #include "platform/testbed.hpp"
 #include "psched/noise.hpp"
@@ -82,15 +83,11 @@ class GridSystem {
   simcore::Simulator& simulator() { return sim_; }
 
  private:
-  /// One agent + the server daemons it owns + the mesh bookkeeping around it.
+  /// One agent + the server daemons it owns + its mesh node (mesh only).
   struct Node {
-    std::string name;
     std::unique_ptr<Agent> agent;
     std::vector<std::unique_ptr<ServerDaemon>> daemons;
-    /// Queued-but-undispatched tasks awaiting a steal (arrival order).
-    std::deque<workload::TaskInstance> parked;
-    /// taskId -> "forward:<agent>" / "steal:<agent>" for decision attribution.
-    std::unordered_map<std::uint64_t, std::string> origin;
+    std::optional<mesh::AgentNode> mesh;
   };
 
   void addServer(Node& node, const psched::MachineSpec& spec);
@@ -98,9 +95,13 @@ class GridSystem {
   void applyChurn(const ChurnEvent& event);
   void submitMetatask();
   void onRequest(std::size_t self, const workload::TaskInstance& task,
-                 std::uint32_t hops, const std::string& origin);
-  std::vector<mesh::PeerDigest> peerDigests(std::size_t self, std::size_t exclude) const;
+                 std::uint32_t hops, const std::string& fromAgent);
+  void onForwardDenied(std::size_t self, std::uint64_t taskId);
+  void deny(Node& node, const workload::TaskInstance& task, const std::string& fromAgent);
+  std::vector<mesh::PeerDigest> peerDigests(std::size_t self) const;
+  std::size_t nodeIndex(const std::string& name) const;
   void stealTick();
+  void relayTerminal(std::size_t self, std::uint64_t taskId);
   void onTerminal();
   metrics::RunResult buildResult();
 
@@ -109,14 +110,10 @@ class GridSystem {
   std::string schedulerName_;
   SystemConfig config_;
   scenario::MeshSpec mesh_;
-  mesh::RouterConfig router_;
   /// Sized once in the constructor; never grows (observers hold indices).
   std::vector<Node> nodes_;
-  /// taskId -> forwarding node index (so the receiver can exclude it).
-  std::unordered_map<std::uint64_t, std::size_t> originIndex_;
   /// Tasks denied by the router: terminal without ever reaching an agent.
   std::vector<metrics::TaskOutcome> denied_;
-  metrics::MeshSummary meshStats_;
   std::vector<ChurnEvent> timeline_;
   metrics::ChurnSummary churnStats_;
   std::size_t terminal_ = 0;

@@ -2,13 +2,9 @@
 
 namespace casched::mesh {
 
-RouterConfig routerConfigFrom(const scenario::MeshSpec& spec) {
-  RouterConfig config;
-  config.forwarding = spec.forwarding;
-  config.hopLimit = spec.hopLimit;
-  config.overloadThreshold = spec.overloadThreshold;
-  config.stealing = spec.stealPeriod > 0.0;
-  return config;
+MeshConfig MeshConfig::from(const scenario::MeshSpec& spec) {
+  return {spec.enabled,           spec.forwarding,  spec.hopLimit,
+          spec.overloadThreshold, spec.stealPeriod, spec.stealBatch};
 }
 
 namespace {
@@ -29,7 +25,7 @@ const PeerDigest* bestPeer(std::span<const PeerDigest> peers) {
 
 }  // namespace
 
-RouteDecision decideRoute(const RouterConfig& config, const LocalView& local,
+RouteDecision decideRoute(const MeshConfig& config, const LocalView& local,
                           std::span<const PeerDigest> peers) {
   const bool overloaded =
       config.overloadThreshold > 0.0 && local.predictedCompletion.has_value() &&
@@ -49,7 +45,7 @@ RouteDecision decideRoute(const RouterConfig& config, const LocalView& local,
   }
 
   if (local.feasible) return {RouteKind::kLocal, 0, "no-better-peer"};
-  if (config.stealing) return {RouteKind::kPark, 0, "awaiting-steal"};
+  if (config.stealing()) return {RouteKind::kPark, 0, "awaiting-steal"};
   return {RouteKind::kDeny, 0,
           canForward ? "no-capable-peer" : "hop-limit"};
 }

@@ -1,11 +1,13 @@
 #pragma once
 /// \file router.hpp
-/// The mesh routing decision, shared verbatim by cas::GridSystem and the
-/// live agent daemons: given the local partition's state and the latest peer
-/// digests, decide whether a schedule request is placed locally, forwarded
-/// to the least-loaded capable peer, parked for work-stealing, or denied. Keeping the policy in one pure function is what makes the
+/// The mesh routing decision: given the local partition's state and the
+/// latest peer digests, decide whether a schedule request is placed locally,
+/// forwarded to the least-loaded capable peer, parked for work-stealing, or
+/// denied. mesh::AgentNode (agent_node.hpp) is its one caller, so the
+/// simulator and the live daemons apply one policy; that is what makes the
 /// sim/live count-agreement invariant hold for mesh scenarios.
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -15,21 +17,20 @@
 
 namespace casched::mesh {
 
-/// The routing knobs of a [mesh] section, distilled for the decision path.
-struct RouterConfig {
+/// The run-time knobs of a [mesh] section; the fields mean what they mean
+/// in scenario::MeshSpec. Disabled, every client request is placed locally
+/// and peers get no mesh service (forwards denied, steal grants refused).
+struct MeshConfig {
+  bool enabled = false;
   bool forwarding = true;
-  /// Max agent-to-agent transfers per request; a request arriving with
-  /// hops >= hopLimit can no longer forward (no ping-pong).
-  std::uint32_t hopLimit = 1;
-  /// Forward when the best local predicted completion exceeds
-  /// now + overloadThreshold; <= 0 disables the overload trigger.
-  double overloadThreshold = 0.0;
-  /// Parking (instead of denying) infeasible requests is only useful when
-  /// somebody will come and steal them.
-  bool stealing = false;
-};
+  std::uint32_t hopLimit = 1;      ///< transfers per request; no ping-pong
+  double overloadThreshold = 0.0;  ///< <= 0: no overload trigger
+  double stealPeriod = 0.0;        ///< <= 0: no stealing, hence no parking
+  std::size_t stealBatch = 4;
 
-RouterConfig routerConfigFrom(const scenario::MeshSpec& spec);
+  bool stealing() const { return stealPeriod > 0.0; }
+  static MeshConfig from(const scenario::MeshSpec& spec);
+};
 
 /// One peer's advertised state. Live daemons fill this from the latest
 /// kAgentSync digest (stale by up to one sync period); the simulator reads
@@ -37,6 +38,7 @@ RouterConfig routerConfigFrom(const scenario::MeshSpec& spec);
 /// table and is echoed back in RouteDecision::peer.
 struct PeerDigest {
   std::size_t index = 0;
+  std::string name;  ///< the peer agent's name (hand-off bookkeeping)
   double meanLoad = 0.0;
   std::uint32_t liveServers = 0;
   std::uint32_t queuedTasks = 0;
@@ -69,7 +71,7 @@ struct RouteDecision {
 };
 
 /// The mesh policy. `peers` must not contain the agent that sent this request
-/// to us (the caller filters; a request never bounces straight back).
+/// to us (AgentNode filters it; a request never bounces straight back).
 ///
 /// Order of play: a feasible, non-overloaded request is placed locally.
 /// Otherwise forwarding (if enabled and hops remain) targets the least-loaded
@@ -77,7 +79,7 @@ struct RouteDecision {
 /// loaded than us is worth the hop. A request nobody can take is parked when
 /// stealing is on, denied otherwise; a feasible-but-overloaded request with
 /// no better peer just runs locally.
-RouteDecision decideRoute(const RouterConfig& config, const LocalView& local,
+RouteDecision decideRoute(const MeshConfig& config, const LocalView& local,
                           std::span<const PeerDigest> peers);
 
 }  // namespace casched::mesh

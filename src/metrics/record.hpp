@@ -53,11 +53,18 @@ struct ChurnSummary {
 /// all-zero for the paper's single agent).
 struct MeshSummary {
   std::uint64_t forwards = 0;       ///< requests transferred to a peer agent
-  std::uint64_t forwardDenies = 0;  ///< requests denied (no feasible agent anywhere)
+  std::uint64_t forwardDenies = 0;  ///< denies sent, to clients or forwarding agents
   std::uint64_t steals = 0;         ///< tasks pulled off a peer's parked queue
   std::uint64_t parked = 0;         ///< tasks ever parked awaiting a steal
 
   std::uint64_t total() const { return forwards + forwardDenies + steals + parked; }
+  MeshSummary& operator+=(const MeshSummary& other) {
+    forwards += other.forwards;
+    forwardDenies += other.forwardDenies;
+    steals += other.steals;
+    parked += other.parked;
+    return *this;
+  }
 };
 
 /// Per-server aggregate over a run.

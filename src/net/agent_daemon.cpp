@@ -5,7 +5,6 @@
 #include "core/htm_snapshot.hpp"
 #include "net/turn_wait.hpp"
 #include "obs/decision.hpp"
-#include "obs/http_export.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
@@ -30,6 +29,26 @@ std::string agentModeName(AgentMode mode) {
     case AgentMode::kPartitioned: return "partitioned";
   }
   return "?";
+}
+
+workload::TaskInstance taskFromRequest(const wire::ScheduleRequestMsg& msg, double arrival) {
+  workload::TaskInstance task;
+  task.index = msg.taskId;
+  task.arrival = arrival;
+  task.type = workload::makeSyntheticType(msg.problem, msg.inMB, msg.refSeconds, msg.outMB,
+                                          msg.memMB);
+  return task;
+}
+
+wire::ScheduleRequestMsg requestFromTask(const workload::TaskInstance& task) {
+  wire::ScheduleRequestMsg msg;
+  msg.taskId = task.index;
+  msg.problem = task.type.name;
+  msg.inMB = task.type.inMB;
+  msg.outMB = task.type.outMB;
+  msg.memMB = task.type.memMB;
+  msg.refSeconds = task.type.refSeconds;
+  return msg;
 }
 
 /// TaskDispatch implementation handed to the scheduling core: encodes the
@@ -80,22 +99,16 @@ AgentDaemon::AgentDaemon(AgentDaemonConfig config, PacedClock clock)
       clock_(clock),
       listener_(config_.port),
       agent_(sim_, core::makeScheduler(config_.heuristic, config_.schedulerSeed),
-             config_.costs, toAgentConfig(config_)) {
+             config_.costs, toAgentConfig(config_)),
+      node_(config_.mesh, config_.agentName) {
   CASCHED_CHECK(config_.heartbeatTimeout > 0.0, "heartbeat timeout must be positive");
   agent_.setTaskTerminalObserver(
       [this](const metrics::TaskOutcome& outcome) { relayTerminal(outcome); });
   agent_.setDecisionLabel(config_.agentName);
   agent_.setDecisionAnnotator([this](std::uint64_t taskId, obs::DecisionRecord& record) {
-    const auto it = taskOrigins_.find(taskId);
-    record.origin = it == taskOrigins_.end() ? "local" : it->second;
+    record.origin = node_.originOf(taskId);
   });
   for (const std::string& address : config_.peers) addPeer(address);
-  if (config_.metricsPort >= 0) {
-    metricsServer_ = std::make_unique<obs::MetricsHttpServer>(
-        static_cast<std::uint16_t>(config_.metricsPort));
-    LOG_INFO("agent " << config_.agentName << ": metrics endpoint on 127.0.0.1:"
-                      << metricsServer_->port());
-  }
   if (!config_.snapshotPath.empty()) {
     try {
       if (const auto snap = core::loadHtmSnapshotFile(config_.snapshotPath)) {
@@ -125,28 +138,22 @@ void AgentDaemon::runOnce() {
   maybeSync();
   maybeSteal();
   flushAllQueued();
-  if (metricsServer_) metricsServer_->pollOnce();
+}
+
+template <class Fn>
+void AgentDaemon::forEachLink(Fn&& fn) {
+  for (auto& [conn, since] : pending_) fn(conn);
+  for (auto& [name, entry] : servers_) fn(entry.transport);
+  for (auto& client : clients_) fn(client);
+  for (auto& peer : peers_) fn(peer.transport);
 }
 
 void AgentDaemon::flushAllQueued() {
   // One flush per poll cycle per link: everything queued above (terminal
   // relays, submits, heartbeat echoes, sync chunks) leaves in one write.
-  for (auto& [conn, since] : pending_) {
-    if (conn && !conn->closed()) conn->flushQueued();
-  }
-  for (auto& [name, entry] : servers_) {
-    if (entry.transport && !entry.transport->closed()) entry.transport->flushQueued();
-  }
-  for (auto& client : clients_) {
-    if (client && !client->closed()) client->flushQueued();
-  }
-  for (auto& peer : peers_) {
-    if (peer.transport && !peer.transport->closed()) peer.transport->flushQueued();
-  }
-}
-
-std::uint16_t AgentDaemon::metricsHttpPort() const {
-  return metricsServer_ ? metricsServer_->port() : 0;
+  forEachLink([](const std::shared_ptr<wire::TcpTransport>& link) {
+    if (link && !link->closed()) link->flushQueued();
+  });
 }
 
 void AgentDaemon::run(const std::atomic<bool>& stop) {
@@ -154,11 +161,7 @@ void AgentDaemon::run(const std::atomic<bool>& stop) {
   while (!stop.load(std::memory_order_relaxed) && !shutdownRequested_) {
     runOnce();
     waiter.watch(listener_.fd());
-    for (const auto& [conn, since] : pending_) waiter.watch(conn);
-    for (const auto& [name, entry] : servers_) waiter.watch(entry.transport);
-    for (const auto& client : clients_) waiter.watch(client);
-    for (const PeerEntry& peer : peers_) waiter.watch(peer.transport);
-    if (metricsServer_) waiter.watch(metricsServer_->fd());
+    forEachLink([&](const std::shared_ptr<wire::TcpTransport>& link) { waiter.watch(link); });
     waiter.waitForTurn(sim_.nextEventTime(), clock_);
   }
 }
@@ -183,27 +186,14 @@ void AgentDaemon::pollTransports() {
     }
     snapshot.push_back(transport);
   }
-  for (auto& transport : snapshot) {
-    try {
-      transport->poll([&](wire::Frame frame) { handleFrame(transport, frame); });
-    } catch (const util::Error& e) {
-      LOG_WARN("agent: dropping connection on bad frame: " << e.what());
-      transport->close();
-    }
-  }
+  for (auto& transport : snapshot) drainLink(transport, "unidentified");
   pending_.erase(std::remove_if(pending_.begin(), pending_.end(),
                                 [](const auto& p) { return p.first->closed(); }),
                  pending_.end());
 
   for (auto& [name, entry] : servers_) {
     if (!entry.transport) continue;
-    try {
-      auto transport = entry.transport;
-      transport->poll([&](wire::Frame frame) { handleFrame(transport, frame); });
-    } catch (const util::Error& e) {
-      LOG_WARN("agent: closing link to " << name << " on bad frame: " << e.what());
-      entry.transport->close();
-    }
+    drainLink(entry.transport, name.c_str());
     if (entry.transport->closed()) {
       entry.transport.reset();
       // The process is gone, not just the machine: unlike a simulated
@@ -214,18 +204,20 @@ void AgentDaemon::pollTransports() {
     }
   }
 
-  for (auto& client : clients_) {
-    try {
-      auto transport = client;
-      transport->poll([&](wire::Frame frame) { handleFrame(transport, frame); });
-    } catch (const util::Error& e) {
-      LOG_WARN("agent: closing client connection on bad frame: " << e.what());
-      client->close();
-    }
-  }
+  for (const auto& client : clients_) drainLink(client, "client");
   clients_.erase(std::remove_if(clients_.begin(), clients_.end(),
                                 [](const auto& t) { return t->closed(); }),
                  clients_.end());
+}
+
+void AgentDaemon::drainLink(std::shared_ptr<wire::TcpTransport> transport, const char* what) {
+  try {
+    transport->poll([&](wire::Frame frame) { handleFrame(transport, frame); });
+  } catch (const util::Error& e) {
+    LOG_WARN("agent " << config_.agentName << ": closing " << what
+                      << " link on bad frame: " << e.what());
+    transport->close();
+  }
 }
 
 void AgentDaemon::applyDeadlines() {
@@ -294,7 +286,14 @@ void AgentDaemon::pollPeers() {
       // The link died. Unless another live link to the same peer remains,
       // tasks handed over it have lost their terminal path - reclaim them
       // before the redial/prune logic forgets the closure ever happened.
-      if (!otherLiveLinkTo(peer)) reclaimForwarded(peer.name);
+      if (!otherLiveLinkTo(peer)) {
+        for (mesh::HeldTask& orphan : node_.peerLost(peer.name)) {
+          LOG_WARN("agent " << config_.agentName << ": peer " << peer.name
+                            << " died holding task " << orphan.task.index << ", re-routing");
+          routeRequest(taskClients_[orphan.task.index].lock(), orphan.task, 0,
+                       orphan.fromAgent, sim_.now());
+        }
+      }
       peer.transport.reset();
       peer.digestSeen = false;
     }
@@ -333,14 +332,7 @@ void AgentDaemon::pollPeers() {
       }
     }
     if (peer.transport && !peer.transport->closed()) {
-      try {
-        auto transport = peer.transport;
-        transport->poll([&](wire::Frame frame) { handleFrame(transport, frame); });
-      } catch (const util::Error& e) {
-        LOG_WARN("agent " << config_.agentName
-                          << ": closing peer link on bad frame: " << e.what());
-        peer.transport->close();
-      }
+      drainLink(peer.transport, "peer");
     }
   }
   // Inbound entries have no address to re-dial; drop them once dead. The
@@ -382,7 +374,7 @@ void AgentDaemon::maybeSync() {
   }
   // v4: advertise the parked-queue depth so idle mesh peers know whom to
   // steal from (harmlessly zero outside mesh deployments).
-  base.queuedTasks = static_cast<std::uint32_t>(parked_.size());
+  base.queuedTasks = static_cast<std::uint32_t>(node_.parked().size());
 
   // Snapshot travels in chunks so one sync frame never approaches the frame
   // limit, whatever the trace sizes; loopback deployments fit in one chunk.
@@ -434,7 +426,6 @@ void AgentDaemon::onAgentHello(const std::shared_ptr<wire::TcpTransport>& transp
   }
   if (entry == nullptr) return;  // hello on a server/client link: ignore
   entry->name = msg.agentName;
-  entry->mode = msg.mode;
   // Dialable address for resolver gossip: the advertised listen port wins
   // (inbound links carry no address of their own), else the dialed address.
   if (msg.listenPort != 0) {
@@ -563,6 +554,21 @@ void AgentDaemon::handleFrame(const std::shared_ptr<wire::TcpTransport>& transpo
     if (it != servers_.end()) it->second.lastSeen = sim_.now();
   };
 
+  // A terminal frame from one of our servers feeds the scheduling core. From
+  // anyone else it is the outcome of a task handed to a peer, relayed
+  // verbatim: it already names the executing server and its timings.
+  const auto onTerminalFrame = [&](std::uint64_t taskId, const std::string& server,
+                                   const auto& apply) {
+    refresh(server);
+    auto it = servers_.find(server);
+    if (it == servers_.end()) {
+      if (node_.terminal(taskId).handedOff) relayToRequester(taskId, frame.type, frame.payload);
+    } else if (agent_.knowsTask(taskId)) {
+      it->second.draining.erase(taskId);
+      apply();
+    }
+  };
+
   switch (frame.type) {
     case MessageType::kRegister:
       onRegister(transport, wire::decodeRegister(frame.payload));
@@ -574,15 +580,8 @@ void AgentDaemon::handleFrame(const std::shared_ptr<wire::TcpTransport>& transpo
       const wire::HeartbeatMsg m = wire::decodeHeartbeat(frame.payload);
       if (m.serverName.empty()) {
         // Client hello: an empty-name heartbeat identifies a connection as a
-        // client before its first request, exempting it from the
-        // never-identified pending timeout.
-        auto inPending =
-            std::find_if(pending_.begin(), pending_.end(),
-                         [&](const auto& p) { return p.first == transport; });
-        if (inPending != pending_.end()) {
-          pending_.erase(inPending);
-          clients_.push_back(transport);
-        }
+        // client before its first request.
+        adoptClient(transport);
         return;
       }
       refresh(m.serverName);
@@ -601,25 +600,14 @@ void AgentDaemon::handleFrame(const std::shared_ptr<wire::TcpTransport>& transpo
     }
     case MessageType::kTaskComplete: {
       const wire::TaskCompleteMsg m = wire::decodeTaskComplete(frame.payload);
-      refresh(m.serverName);
-      if (relayForwardedTerminal(m.taskId, m.serverName, frame)) return;
-      auto it = servers_.find(m.serverName);
-      if (it != servers_.end() && agent_.knowsTask(m.taskId)) {
-        it->second.draining.erase(m.taskId);
-        agent_.onTaskCompleted(m.serverName, m.taskId, m.completionTime,
-                               m.unloadedDuration);
-      }
+      onTerminalFrame(m.taskId, m.serverName, [&] {
+        agent_.onTaskCompleted(m.serverName, m.taskId, m.completionTime, m.unloadedDuration);
+      });
       return;
     }
     case MessageType::kTaskFailed: {
       const wire::TaskFailedMsg m = wire::decodeTaskFailed(frame.payload);
-      refresh(m.serverName);
-      if (relayForwardedTerminal(m.taskId, m.serverName, frame)) return;
-      auto it = servers_.find(m.serverName);
-      if (it != servers_.end() && agent_.knowsTask(m.taskId)) {
-        it->second.draining.erase(m.taskId);
-        agent_.onTaskFailed(m.serverName, m.taskId);
-      }
+      onTerminalFrame(m.taskId, m.serverName, [&] { agent_.onTaskFailed(m.serverName, m.taskId); });
       return;
     }
     case MessageType::kServerDown: {
@@ -655,14 +643,8 @@ void AgentDaemon::handleFrame(const std::shared_ptr<wire::TcpTransport>& transpo
       onAgentSync(transport, wire::decodeAgentSync(frame.payload));
       return;
     case MessageType::kStatsRequest: {
-      // Operator connection asking for the metrics registry; treat it like a
-      // client from now on so the pending timeout leaves it alone.
-      auto inPending = std::find_if(pending_.begin(), pending_.end(),
-                                    [&](const auto& p) { return p.first == transport; });
-      if (inPending != pending_.end()) {
-        pending_.erase(inPending);
-        clients_.push_back(transport);
-      }
+      // Operator connection asking for the metrics registry: a client.
+      adoptClient(transport);
       const wire::StatsRequestMsg m = wire::decodeStatsRequest(frame.payload);
       wire::StatsReplyMsg reply;
       reply.agentName = config_.agentName;
@@ -681,22 +663,13 @@ void AgentDaemon::handleFrame(const std::shared_ptr<wire::TcpTransport>& transpo
     }
     case MessageType::kForwardRequest: {
       const wire::ForwardRequestMsg m = wire::decodeForwardRequest(frame.payload);
-      if (!config_.meshEnabled) {
-        denyRequest(transport, m.task.taskId, m.originAgent, "mesh disabled");
-        return;
-      }
-      if (agent_.knowsTask(m.task.taskId) || taskIdInFlight(m.task.taskId)) {
+      if (idInUse(m.task.taskId)) {
         denyRequest(transport, m.task.taskId, m.originAgent, "task id already used");
         return;
       }
       try {
-        workload::TaskInstance task;
-        task.index = m.task.taskId;
-        task.arrival = sim_.now();
-        task.type = workload::makeSyntheticType(m.task.problem, m.task.inMB,
-                                                m.task.refSeconds, m.task.outMB,
-                                                m.task.memMB);
-        routeRequest(transport, m.task, task, m.hops, m.originAgent, sim_.now());
+        routeRequest(transport, taskFromRequest(m.task, sim_.now()), m.hops, m.originAgent,
+                     sim_.now());
       } catch (const util::Error& e) {
         denyRequest(transport, m.task.taskId, m.originAgent, e.what());
       }
@@ -704,92 +677,67 @@ void AgentDaemon::handleFrame(const std::shared_ptr<wire::TcpTransport>& transpo
     }
     case MessageType::kForwardDeny: {
       const wire::ForwardDenyMsg m = wire::decodeForwardDeny(frame.payload);
-      auto it = forwardedTo_.find(m.taskId);
-      if (it == forwardedTo_.end()) return;
-      const wire::ScheduleRequestMsg original = it->second.request;
-      const std::string originalFrom = it->second.fromAgent;
-      forwardedTo_.erase(it);
+      const auto bounce =
+          node_.forwardDenied(m.taskId, [this](const workload::TaskInstance& task) {
+            return agent_.hasFeasibleServer(task.type.name);
+          });
+      if (!bounce) return;
       LOG_WARN("agent " << config_.agentName << ": task " << m.taskId
                         << " bounced by " << m.agentName << " (" << m.reason
                         << ")");
-      // Fall back to local scheduling when anything here can run it (fault
-      // tolerance takes over); otherwise pass the refusal on to the client.
-      try {
-        workload::TaskInstance task;
-        task.index = original.taskId;
-        task.arrival = sim_.now();
-        task.type = workload::makeSyntheticType(original.problem, original.inMB,
-                                                original.refSeconds, original.outMB,
-                                                original.memMB);
-        if (agent_.hasFeasibleServer(task.type.name)) {
-          scheduleBatch_.push_back(std::move(task));  // taskClients_ still set
-          return;
-        }
-      } catch (const util::Error&) {
-        // fall through to the client-facing deny
+      if (bounce->placeHere) {
+        scheduleBatch_.push_back(bounce->task);  // taskClients_ still set
+        return;
       }
       auto client = taskClients_.find(m.taskId);
       if (client != taskClients_.end()) {
-        denyRequest(client->second.lock(), m.taskId, originalFrom, m.reason);
+        denyRequest(client->second.lock(), m.taskId, bounce->fromAgent, m.reason);
       }
       return;
     }
     case MessageType::kStealRequest: {
       const wire::StealRequestMsg m = wire::decodeStealRequest(frame.payload);
-      if (!config_.meshEnabled || parked_.empty() || m.capacity == 0) return;
+      const std::vector<workload::TaskInstance> granted =
+          node_.stealRequested(m.agentName, m.capacity);
+      if (granted.empty()) return;
       wire::StealGrantMsg grant;
       grant.agentName = config_.agentName;
-      const std::size_t count = std::min<std::size_t>(m.capacity, parked_.size());
-      for (std::size_t i = 0; i < count; ++i) {
-        wire::ScheduleRequestMsg task = std::move(parked_.front());
-        parked_.pop_front();
-        // The thief's terminal comes back over this peer link; the map entry
-        // relays it to the original client, exactly like a forward.
-        forwardedTo_[task.taskId] = {m.agentName, task, std::string()};
-        grant.tasks.push_back(std::move(task));
+      for (const workload::TaskInstance& task : granted) {
+        grant.tasks.push_back(requestFromTask(task));
       }
       transport->send(MessageType::kStealGrant, wire::encode(grant));
       return;
     }
     case MessageType::kStealGrant: {
+      // Every granted task is answered: placed here, or failed back over the
+      // peer link, where the victim's hand-off entry relays the failure to
+      // the original client.
       const wire::StealGrantMsg m = wire::decodeStealGrant(frame.payload);
-      if (!config_.meshEnabled) return;
+      const auto fail = [&](std::uint64_t taskId, const std::string& reason) {
+        LOG_WARN("agent " << config_.agentName << ": refusing stolen task " << taskId
+                          << " (" << reason << ")");
+        transport->send(MessageType::kTaskFailed,
+                        wire::encode(wire::TaskFailedMsg{taskId, "", reason}));
+      };
+      std::vector<workload::TaskInstance> tasks;
       for (const wire::ScheduleRequestMsg& req : m.tasks) {
-        if (agent_.knowsTask(req.taskId) || taskIdInFlight(req.taskId)) {
-          LOG_WARN("agent " << config_.agentName << ": dropping stolen task "
-                            << req.taskId << " (id already used)");
-          continue;
-        }
         try {
-          workload::TaskInstance task;
-          task.index = req.taskId;
-          task.arrival = sim_.now();
-          task.type = workload::makeSyntheticType(req.problem, req.inMB,
-                                                  req.refSeconds, req.outMB,
-                                                  req.memMB);
-          ++meshSteals_;
-          taskClients_[req.taskId] = transport;
-          taskOrigins_[req.taskId] = "steal:" + m.agentName;
-          scheduleBatch_.push_back(std::move(task));
+          tasks.push_back(taskFromRequest(req, sim_.now()));
         } catch (const util::Error& e) {
-          // Answer over the peer link; the victim's forwardedTo_ entry relays
-          // the failure to the original client.
-          wire::TaskFailedMsg failed;
-          failed.taskId = req.taskId;
-          failed.reason = e.what();
-          transport->send(MessageType::kTaskFailed, wire::encode(failed));
+          fail(req.taskId, e.what());
         }
       }
+      const mesh::StealPlacement placement = node_.stealGranted(
+          m.agentName, std::move(tasks), [this](std::uint64_t id) { return idInUse(id); });
+      for (const workload::TaskInstance& task : placement.place) {
+        taskClients_[task.index] = transport;
+        scheduleBatch_.push_back(task);
+      }
+      for (const std::uint64_t taskId : placement.refused) fail(taskId, placement.reason);
       return;
     }
     case MessageType::kResolverProbe: {
-      // A probing connection is a client from now on.
-      auto inPending = std::find_if(pending_.begin(), pending_.end(),
-                                    [&](const auto& p) { return p.first == transport; });
-      if (inPending != pending_.end()) {
-        pending_.erase(inPending);
-        clients_.push_back(transport);
-      }
+      adoptClient(transport);  // a probing connection is a client
       const wire::ResolverProbeMsg m = wire::decodeResolverProbe(frame.payload);
       wire::ResolverInfoMsg info;
       info.agentName = config_.agentName;
@@ -798,7 +746,7 @@ void AgentDaemon::handleFrame(const std::shared_ptr<wire::TcpTransport>& transpo
       info.sampleTime = sim_.now();
       info.meanLoad = agent_.meanLoadEstimate();
       info.liveServers = static_cast<std::uint32_t>(agent_.liveServerCount());
-      info.queuedTasks = static_cast<std::uint32_t>(parked_.size());
+      info.queuedTasks = static_cast<std::uint32_t>(node_.parked().size());
       for (const PeerEntry& peer : peers_) {
         if (!peer.transport || peer.transport->closed()) continue;
         if (!peer.listenAddress.empty()) info.peerAddresses.push_back(peer.listenAddress);
@@ -815,6 +763,15 @@ void AgentDaemon::handleFrame(const std::shared_ptr<wire::TcpTransport>& transpo
       LOG_WARN("agent: ignoring unexpected " << wire::messageTypeName(frame.type)
                                              << " frame");
       return;
+  }
+}
+
+void AgentDaemon::adoptClient(const std::shared_ptr<wire::TcpTransport>& transport) {
+  auto inPending = std::find_if(pending_.begin(), pending_.end(),
+                                [&](const auto& p) { return p.first == transport; });
+  if (inPending != pending_.end()) {
+    pending_.erase(inPending);
+    clients_.push_back(transport);
   }
 }
 
@@ -891,32 +848,23 @@ void AgentDaemon::onRegister(const std::shared_ptr<wire::TcpTransport>& transpor
 
 void AgentDaemon::onScheduleRequest(const std::shared_ptr<wire::TcpTransport>& transport,
                                     const wire::ScheduleRequestMsg& msg) {
-  // The connection is now known to be a client.
-  auto inPending = std::find_if(pending_.begin(), pending_.end(),
-                                [&](const auto& p) { return p.first == transport; });
-  if (inPending != pending_.end()) {
-    pending_.erase(inPending);
-    clients_.push_back(transport);
-  }
+  adoptClient(transport);
 
   // Task ids are client-chosen; reusing one (another client, or a replayed
   // metatask against a long-lived agent) would corrupt or shadow the first
-  // task's state, so reject instead. The guard must also cover ids queued in
-  // this cycle's batch, which the scheduling core has not seen yet.
-  if (agent_.knowsTask(msg.taskId) || taskIdInFlight(msg.taskId)) {
+  // task's state, so reject instead.
+  if (idInUse(msg.taskId)) {
     auto known = taskClients_.find(msg.taskId);
     if (known != taskClients_.end() && known->second.lock() == transport) {
       return;  // duplicate send from the same client, ignore
     }
     LOG_WARN("agent: rejecting task " << msg.taskId << " (id already used)");
-    wire::TaskFailedMsg failed;
-    failed.taskId = msg.taskId;
-    failed.reason = "task id already used";
-    transport->send(wire::MessageType::kTaskFailed, wire::encode(failed));
+    transport->send(wire::MessageType::kTaskFailed,
+                    wire::encode(wire::TaskFailedMsg{msg.taskId, "", "task id already used"}));
     return;
   }
 
-  if (!config_.meshEnabled && liveServerCount() == 0) {
+  if (!config_.mesh.enabled && liveServerCount() == 0) {
     // No server has ever registered (or all retired) and there is no mesh to
     // forward into: answer with an explicit deny so the client can fail over
     // or fail fast, instead of parking the request in the fault-tolerance
@@ -928,92 +876,57 @@ void AgentDaemon::onScheduleRequest(const std::shared_ptr<wire::TcpTransport>& t
   }
 
   try {
-    workload::TaskInstance task;
-    task.index = msg.taskId;
-    task.arrival = sim_.now();
-    task.type = workload::makeSyntheticType(msg.problem, msg.inMB, msg.refSeconds,
-                                            msg.outMB, msg.memMB);
-    if (config_.meshEnabled) {
-      routeRequest(transport, msg, task, 0, "", sim_.now());
-      return;
-    }
-    taskClients_[msg.taskId] = transport;
-    scheduleBatch_.push_back(std::move(task));
+    routeRequest(transport, taskFromRequest(msg, sim_.now()), 0, "", sim_.now());
   } catch (const util::Error& e) {
     // One malformed request fails that task; the connection (and every
     // other task of this client) stays up.
     LOG_WARN("agent: schedule request " << msg.taskId << " rejected: " << e.what());
     taskClients_.erase(msg.taskId);
-    wire::TaskFailedMsg failed;
-    failed.taskId = msg.taskId;
-    failed.reason = e.what();
-    transport->send(wire::MessageType::kTaskFailed, wire::encode(failed));
+    transport->send(wire::MessageType::kTaskFailed,
+                    wire::encode(wire::TaskFailedMsg{msg.taskId, "", e.what()}));
   }
 }
 
 void AgentDaemon::routeRequest(const std::shared_ptr<wire::TcpTransport>& requester,
-                               const wire::ScheduleRequestMsg& msg,
                                const workload::TaskInstance& task, std::uint32_t hops,
                                const std::string& fromAgent, double firstSeen) {
+  // Without a mesh the node places every client request locally; skip the
+  // probes it would not read.
   mesh::LocalView view;
-  view.feasible = agent_.hasFeasibleServer(task.type.name);
-  view.now = sim_.now();
-  view.meanLoad = agent_.meanLoadEstimate();
-  view.hops = hops;
-  if (view.feasible && config_.meshRouter.overloadThreshold > 0.0) {
-    view.predictedCompletion = agent_.previewBestCompletion(task);
-  }
-
-  // Candidate peers: connected, identified, digest received, and never the
-  // agent that just handed us this request (no ping-pong).
   std::vector<mesh::PeerDigest> digests;
-  std::vector<const PeerEntry*> digestPeers;
-  for (const PeerEntry& peer : peers_) {
-    if (!peer.transport || peer.transport->closed() || peer.name.empty()) continue;
-    if (peer.name == fromAgent || !peer.digestSeen) continue;
-    digests.push_back({digestPeers.size(), peer.meanLoad, peer.liveServers,
-                       peer.queuedTasks});
-    digestPeers.push_back(&peer);
+  if (config_.mesh.enabled) {
+    view = agent_.meshView(task, hops, config_.mesh);
+    digests = peerDigests();
   }
-
-  const mesh::RouteDecision decision =
-      mesh::decideRoute(config_.meshRouter, view, digests);
+  const mesh::RouteDecision decision = node_.route(task, fromAgent, view, digests);
+  // The requester hears the outcome however the task travels; a deferred
+  // one also lets a same-client resend be recognized (ignored, not failed).
+  taskClients_[task.index] = requester;
   switch (decision.kind) {
     case mesh::RouteKind::kLocal:
-      taskClients_[msg.taskId] = requester;
-      if (!fromAgent.empty()) taskOrigins_[msg.taskId] = "forward:" + fromAgent;
       scheduleBatch_.push_back(task);
       return;
     case mesh::RouteKind::kForward: {
-      const PeerEntry* peer = digestPeers[decision.peer];
-      ++meshForwards_;
-      forwardedTo_[msg.taskId] = {peer->name, msg, fromAgent};
-      taskClients_[msg.taskId] = requester;
       wire::ForwardRequestMsg forward;
-      forward.task = msg;
+      forward.task = requestFromTask(task);
       forward.originAgent = config_.agentName;
       forward.hops = hops + 1;
-      peer->transport->send(wire::MessageType::kForwardRequest, wire::encode(forward));
+      peers_[decision.peer].transport->send(wire::MessageType::kForwardRequest,
+                                            wire::encode(forward));
       return;
     }
     case mesh::RouteKind::kPark:
-      ++meshParkedTotal_;
-      taskClients_[msg.taskId] = requester;
-      parked_.push_back(msg);
       return;
     case mesh::RouteKind::kDeny:
       // Startup race: the router may see no usable peer only because the
       // first sync round has not landed yet. Retry every poll cycle within
       // the grace window before giving up for real.
-      if (hops < config_.meshRouter.hopLimit &&
+      if (config_.mesh.enabled && hops < config_.mesh.hopLimit &&
           sim_.now() - firstSeen < config_.heartbeatTimeout) {
-        // Registering the requester here makes a duplicate resend of a
-        // deferred id recognizable as same-client (ignored, not failed).
-        taskClients_[msg.taskId] = requester;
-        deferred_.push_back({requester, msg, hops, fromAgent, firstSeen});
+        deferred_.push_back({task, hops, fromAgent, firstSeen});
         return;
       }
-      denyRequest(requester, msg.taskId, fromAgent, decision.reason);
+      denyRequest(requester, task.index, fromAgent, decision.reason);
       return;
   }
 }
@@ -1021,7 +934,7 @@ void AgentDaemon::routeRequest(const std::shared_ptr<wire::TcpTransport>& reques
 void AgentDaemon::denyRequest(const std::shared_ptr<wire::TcpTransport>& requester,
                               std::uint64_t taskId, const std::string& fromAgent,
                               const std::string& reason) {
-  ++meshDenies_;
+  node_.denied();
   taskClients_.erase(taskId);
   if (!requester || requester->closed()) return;
   if (fromAgent.empty()) {
@@ -1039,19 +952,8 @@ void AgentDaemon::denyRequest(const std::shared_ptr<wire::TcpTransport>& request
   }
 }
 
-bool AgentDaemon::taskIdInFlight(std::uint64_t taskId) const {
-  if (forwardedTo_.find(taskId) != forwardedTo_.end()) return true;
-  if (std::any_of(scheduleBatch_.begin(), scheduleBatch_.end(),
-                  [&](const workload::TaskInstance& t) { return t.index == taskId; })) {
-    return true;
-  }
-  if (std::any_of(parked_.begin(), parked_.end(),
-                  [&](const wire::ScheduleRequestMsg& p) { return p.taskId == taskId; })) {
-    return true;
-  }
-  return std::any_of(deferred_.begin(), deferred_.end(), [&](const DeferredRoute& d) {
-    return d.msg.taskId == taskId;
-  });
+bool AgentDaemon::idInUse(std::uint64_t taskId) const {
+  return agent_.knowsTask(taskId) || taskClients_.contains(taskId);
 }
 
 void AgentDaemon::retryDeferredRoutes() {
@@ -1059,94 +961,37 @@ void AgentDaemon::retryDeferredRoutes() {
   std::vector<DeferredRoute> retry;
   retry.swap(deferred_);  // routeRequest may re-defer into deferred_
   for (DeferredRoute& route : retry) {
-    auto requester = route.requester.lock();
+    auto requester = taskClients_[route.task.index].lock();
     if (!requester || requester->closed()) {
-      taskClients_.erase(route.msg.taskId);  // nobody left to answer
+      taskClients_.erase(route.task.index);  // nobody left to answer
       continue;
     }
-    try {
-      workload::TaskInstance task;
-      task.index = route.msg.taskId;
-      task.arrival = sim_.now();
-      task.type = workload::makeSyntheticType(route.msg.problem, route.msg.inMB,
-                                              route.msg.refSeconds, route.msg.outMB,
-                                              route.msg.memMB);
-      routeRequest(requester, route.msg, task, route.hops, route.fromAgent,
-                   route.firstSeen);
-    } catch (const util::Error& e) {
-      denyRequest(requester, route.msg.taskId, route.fromAgent, e.what());
-    }
-  }
-}
-
-void AgentDaemon::reclaimForwarded(const std::string& peerName) {
-  if (peerName.empty() || forwardedTo_.empty()) return;
-  // Collect first: routeRequest may insert fresh forwardedTo_ entries.
-  std::vector<ForwardedTask> orphans;
-  for (auto it = forwardedTo_.begin(); it != forwardedTo_.end();) {
-    if (it->second.peer == peerName) {
-      orphans.push_back(std::move(it->second));
-      it = forwardedTo_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (ForwardedTask& orphan : orphans) {
-    const wire::ScheduleRequestMsg& msg = orphan.request;
-    LOG_WARN("agent " << config_.agentName << ": peer " << peerName
-                      << " died holding task " << msg.taskId << ", re-routing");
-    std::shared_ptr<wire::TcpTransport> requester;
-    auto client = taskClients_.find(msg.taskId);
-    if (client != taskClients_.end()) requester = client->second.lock();
-    try {
-      workload::TaskInstance task;
-      task.index = msg.taskId;
-      task.arrival = sim_.now();
-      task.type = workload::makeSyntheticType(msg.problem, msg.inMB, msg.refSeconds,
-                                              msg.outMB, msg.memMB);
-      routeRequest(requester, msg, task, 0, orphan.fromAgent, sim_.now());
-    } catch (const util::Error& e) {
-      denyRequest(requester, msg.taskId, orphan.fromAgent, e.what());
-    }
+    routeRequest(requester, route.task, route.hops, route.fromAgent, route.firstSeen);
   }
 }
 
 void AgentDaemon::maybeSteal() {
-  if (!config_.meshEnabled || config_.meshStealPeriod <= 0.0) return;
-  if (sim_.now() < nextStealAt_) return;
-  nextStealAt_ = sim_.now() + config_.meshStealPeriod;
-  // Only a genuinely idle agent steals: live servers to run the work, and
-  // nothing parked of its own.
-  if (!parked_.empty() || agent_.liveServerCount() == 0) return;
-  PeerEntry* victim = nullptr;
-  for (PeerEntry& peer : peers_) {
-    if (!peer.transport || peer.transport->closed() || !peer.digestSeen) continue;
-    if (peer.queuedTasks == 0) continue;
-    if (victim == nullptr || peer.queuedTasks > victim->queuedTasks) victim = &peer;
-  }
-  if (victim == nullptr) return;
+  if (!node_.config().stealing() || sim_.now() < nextStealAt_) return;
+  nextStealAt_ = sim_.now() + node_.config().stealPeriod;
+  const std::optional<std::size_t> victim =
+      node_.stealTarget(agent_.liveServerCount(), peerDigests());
+  if (!victim) return;
   wire::StealRequestMsg request;
   request.agentName = config_.agentName;
-  request.capacity = static_cast<std::uint32_t>(config_.meshStealBatch);
-  victim->transport->send(wire::MessageType::kStealRequest, wire::encode(request));
+  request.capacity = static_cast<std::uint32_t>(node_.config().stealBatch);
+  peers_[*victim].transport->send(wire::MessageType::kStealRequest, wire::encode(request));
 }
 
-bool AgentDaemon::relayForwardedTerminal(std::uint64_t taskId,
-                                         const std::string& serverName,
-                                         const wire::Frame& frame) {
-  if (!config_.meshEnabled) return false;
-  if (servers_.find(serverName) != servers_.end()) return false;
-  const auto fwd = forwardedTo_.find(taskId);
-  if (fwd == forwardedTo_.end()) return false;
-  forwardedTo_.erase(fwd);
-  auto it = taskClients_.find(taskId);
-  if (it == taskClients_.end()) return true;
-  auto client = it->second.lock();
-  taskClients_.erase(it);
-  // Relay the peer's terminal verbatim: the payload already carries the
-  // executing server's name and timings.
-  if (client && !client->closed()) client->queue(frame.type, frame.payload);
-  return true;
+std::vector<mesh::PeerDigest> AgentDaemon::peerDigests() const {
+  // Usable peers: connected, identified, and with a digest received; each
+  // digest's index is the peer's slot in peers_.
+  std::vector<mesh::PeerDigest> digests;
+  for (std::size_t i = 0; i < peers_.size(); ++i) {
+    const PeerEntry& p = peers_[i];
+    if (!p.transport || p.transport->closed() || p.name.empty() || !p.digestSeen) continue;
+    digests.push_back({i, p.name, p.meanLoad, p.liveServers, p.queuedTasks});
+  }
+  return digests;
 }
 
 void AgentDaemon::flushScheduleBatch() {
@@ -1201,28 +1046,30 @@ void AgentDaemon::sendSubmit(const std::string& server, std::uint64_t taskId,
 }
 
 void AgentDaemon::relayTerminal(const metrics::TaskOutcome& outcome) {
-  taskOrigins_.erase(outcome.index);
-  auto it = taskClients_.find(outcome.index);
-  if (it == taskClients_.end()) return;
-  auto transport = it->second.lock();
-  // Terminal fires exactly once per task; drop the mapping so a long-lived
-  // agent does not accumulate one entry per task ever submitted.
-  taskClients_.erase(it);
-  if (!transport || transport->closed()) return;
+  node_.terminal(outcome.index);
+  if (!taskClients_.contains(outcome.index)) return;
   if (outcome.status == metrics::TaskStatus::kCompleted) {
     wire::TaskCompleteMsg done;
     done.taskId = outcome.index;
     done.serverName = outcome.server;
     done.completionTime = outcome.completion;
     done.unloadedDuration = outcome.unloadedDuration;
-    transport->queue(wire::MessageType::kTaskComplete, wire::encode(done));
+    relayToRequester(outcome.index, wire::MessageType::kTaskComplete, wire::encode(done));
   } else {
-    wire::TaskFailedMsg failed;
-    failed.taskId = outcome.index;
-    failed.serverName = outcome.server;
-    failed.reason = "lost";
-    transport->queue(wire::MessageType::kTaskFailed, wire::encode(failed));
+    relayToRequester(outcome.index, wire::MessageType::kTaskFailed,
+                     wire::encode(wire::TaskFailedMsg{outcome.index, outcome.server, "lost"}));
   }
+}
+
+void AgentDaemon::relayToRequester(std::uint64_t taskId, wire::MessageType type,
+                                   const wire::Bytes& payload) {
+  auto it = taskClients_.find(taskId);
+  if (it == taskClients_.end()) return;
+  auto transport = it->second.lock();
+  // Terminal fires exactly once per task; drop the mapping so a long-lived
+  // agent does not accumulate one entry per task ever submitted.
+  taskClients_.erase(it);
+  if (transport && !transport->closed()) transport->queue(type, payload);
 }
 
 std::size_t AgentDaemon::liveServerCount() const {

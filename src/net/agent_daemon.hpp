@@ -27,10 +27,15 @@
 /// servers; received snapshots warm rows for servers not registered here, so
 /// a replica (or a restarted agent booting from its snapshot file) starts
 /// with warm predictions the moment those servers fail over to it.
+///
+/// Mesh (protocol v4): requests go through a mesh::AgentNode, the mesh
+/// bookkeeping the simulator runs too; the daemon turns its decisions into
+/// frames. Only the deferred-route retry is live-only: digests arrive up to
+/// a sync period late, so a request no peer can take yet is retried until
+/// the heartbeat timeout before it is denied.
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <set>
@@ -39,16 +44,12 @@
 
 #include "cas/agent.hpp"
 #include "core/htm.hpp"
-#include "mesh/router.hpp"
+#include "mesh/agent_node.hpp"
 #include "net/clock.hpp"
 #include "platform/calibration.hpp"
 #include "simcore/engine.hpp"
 #include "wire/messages.hpp"
 #include "wire/tcp_transport.hpp"
-
-namespace casched::obs {
-class MetricsHttpServer;
-}  // namespace casched::obs
 
 namespace casched::net {
 
@@ -102,22 +103,17 @@ struct AgentDaemonConfig {
   std::string snapshotPath;
 
   // --- mesh (protocol v4: request forwarding / work stealing) ---
-  /// Enables the mesh layer: schedule requests are routed (local / forward /
-  /// park / deny) before the scheduling core sees them, kForwardRequest and
-  /// kSteal* frames are honoured, and syncs advertise the parked-queue depth.
-  bool meshEnabled = false;
-  mesh::RouterConfig meshRouter;
-  /// Simulated seconds between steal attempts when idle; <= 0 disables.
-  double meshStealPeriod = 0.0;
-  /// Max parked tasks handed over per steal grant.
-  std::size_t meshStealBatch = 4;
-
-  // --- observability ---
-  /// Loopback HTTP port serving the metrics registry (GET / for Prometheus
-  /// text, any path containing "json" for JSON). Negative disables the
-  /// endpoint; 0 picks a free port (see metricsHttpPort()).
-  int metricsPort = -1;
+  /// With `mesh.enabled`, schedule requests are routed (local / forward /
+  /// park / deny) by the daemon's mesh::AgentNode before the scheduling core
+  /// sees them, kForwardRequest and kSteal* frames are honoured, and syncs
+  /// advertise the parked-queue depth.
+  mesh::MeshConfig mesh;
 };
+
+/// The wire form of a task and back: a request's problem name and sizes
+/// become a synthetic task type (util::Error on negative sizes).
+workload::TaskInstance taskFromRequest(const wire::ScheduleRequestMsg& msg, double arrival);
+wire::ScheduleRequestMsg requestFromTask(const workload::TaskInstance& task);
 
 class AgentDaemon {
  public:
@@ -151,12 +147,8 @@ class AgentDaemon {
   /// True once a kShutdown frame arrived.
   bool shutdownRequested() const { return shutdownRequested_; }
 
-  /// Port of the metrics HTTP endpoint, or 0 when disabled.
-  std::uint16_t metricsHttpPort() const;
-
   // --- replication surface ---
   const std::string& agentName() const { return config_.agentName; }
-  AgentMode mode() const { return config_.mode; }
   /// Adds a peer address ("host:port") after construction; the loopback
   /// harness uses this once every agent's ephemeral port is known.
   void addPeer(const std::string& hostPort);
@@ -174,14 +166,15 @@ class AgentDaemon {
   std::size_t knownPeerServerCount() const { return peerLoads_.size(); }
 
   // --- mesh surface ---
-  /// Requests this agent handed to a peer (kForwardRequest sent).
-  std::uint64_t meshForwards() const { return meshForwards_; }
-  /// Requests this agent denied (kScheduleDeny / kForwardDeny sent).
-  std::uint64_t meshDenies() const { return meshDenies_; }
-  /// Tasks this agent pulled off a peer's parked queue (kStealGrant received).
-  std::uint64_t meshSteals() const { return meshSteals_; }
-  /// Requests ever parked awaiting a steal (cumulative, not current depth).
-  std::uint64_t meshParked() const { return meshParkedTotal_; }
+  /// Forwards sent, denies sent (kScheduleDeny / kForwardDeny), tasks taken
+  /// by steal grants, and requests ever parked (cumulative).
+  const metrics::MeshSummary& meshStats() const { return node_.stats(); }
+  /// Per-task entries still held: the mesh node's (parked, handed off,
+  /// placed for a peer), the client table and the deferred routes. Zero once
+  /// every task this agent saw has been answered.
+  std::size_t heldTaskEntries() const {
+    return node_.entryCount() + taskClients_.size() + deferred_.size();
+  }
 
  private:
   struct WireLink;
@@ -204,7 +197,6 @@ class AgentDaemon {
   struct PeerEntry {
     std::string address;  ///< "host:port" for outbound dials; "" when inbound
     std::string name;     ///< peer's agentName once its hello arrived
-    std::string mode;
     std::shared_ptr<wire::TcpTransport> transport;
     bool helloSent = false;
     double nextDialAt = 0.0;
@@ -225,10 +217,16 @@ class AgentDaemon {
 
   void acceptPending();
   void pollTransports();
+  /// Handles every frame `transport` has buffered; a bad frame closes it.
+  /// Holds its own reference: handlers may move or drop the caller's.
+  void drainLink(std::shared_ptr<wire::TcpTransport> transport, const char* what);
   void applyDeadlines();
   bool otherLiveLinkTo(const PeerEntry& peer) const;
   void pollPeers();
   void maybeSync();
+  /// Calls `fn` on every link's transport (null for a dropped one).
+  template <class Fn>
+  void forEachLink(Fn&& fn);
   /// Flushes every link's queued outbound traffic (end of each poll cycle);
   /// each link's frames leave in one write.
   void flushAllQueued();
@@ -239,45 +237,38 @@ class AgentDaemon {
                    const wire::AgentSyncMsg& msg);
   void handleFrame(const std::shared_ptr<wire::TcpTransport>& transport,
                    const wire::Frame& frame);
+  /// A pending connection identified itself as a client (or an operator):
+  /// the never-identified timeout no longer applies to it.
+  void adoptClient(const std::shared_ptr<wire::TcpTransport>& transport);
   void onRegister(const std::shared_ptr<wire::TcpTransport>& transport,
                   const wire::RegisterMsg& msg);
   void onScheduleRequest(const std::shared_ptr<wire::TcpTransport>& transport,
                          const wire::ScheduleRequestMsg& msg);
-  /// Mesh routing for a validated request: place locally, forward to the
-  /// least-loaded capable peer, park for a steal, defer (no digests yet), or
-  /// deny. `fromAgent` is empty for client submissions and names the peer for
-  /// kForwardRequest arrivals (it is excluded from forwarding candidates and
-  /// receives kForwardDeny instead of kScheduleDeny).
+  /// Routes a validated request through the mesh node and carries out the
+  /// decision: batch it here, send the forward, leave it parked, defer it
+  /// (no digests yet), or deny it. `fromAgent` is empty for client
+  /// submissions and names the peer for kForwardRequest arrivals.
   void routeRequest(const std::shared_ptr<wire::TcpTransport>& requester,
-                    const wire::ScheduleRequestMsg& msg,
                     const workload::TaskInstance& task, std::uint32_t hops,
                     const std::string& fromAgent, double firstSeen);
   void denyRequest(const std::shared_ptr<wire::TcpTransport>& requester,
                    std::uint64_t taskId, const std::string& fromAgent,
                    const std::string& reason);
-  /// True when `taskId` is already held somewhere in this daemon outside the
-  /// scheduling core: this cycle's batch, parked awaiting a steal, deferred
-  /// routing, or handed to a peer. Accepting a second copy would overwrite
-  /// the first task's client entry and race the terminal relays.
-  bool taskIdInFlight(std::uint64_t taskId) const;
+  /// A client or peer already waits on `taskId` here, or the scheduling core
+  /// has seen it: a second copy would overwrite the first's client entry.
+  bool idInUse(std::uint64_t taskId) const;
   void retryDeferredRoutes();
-  /// A peer link died with no replacement: every task handed to that peer
-  /// (forwarded or steal-granted) has lost its terminal path, so re-route the
-  /// retained requests - locally, to another peer, or as a deny to the
-  /// original requester - instead of leaving clients to hang until timeout.
-  void reclaimForwarded(const std::string& peerName);
   void maybeSteal();
-  /// Terminal frame for a task this agent routed to a peer (the server is not
-  /// registered here): relay it verbatim to the original client and return
-  /// true. False means normal server-terminal handling applies.
-  bool relayForwardedTerminal(std::uint64_t taskId, const std::string& serverName,
-                              const wire::Frame& frame);
+  std::vector<mesh::PeerDigest> peerDigests() const;
   void flushScheduleBatch();
   void markServerDown(const std::string& name);
   void failAbandonedTasks(const std::string& name);
   void sendSubmit(const std::string& server, std::uint64_t taskId,
                   const psched::ExecRequest& request);
   void relayTerminal(const metrics::TaskOutcome& outcome);
+  /// Sends a terminal frame to whoever asked for `taskId` here; forgets them.
+  void relayToRequester(std::uint64_t taskId, wire::MessageType type,
+                        const wire::Bytes& payload);
 
   AgentDaemonConfig config_;
   PacedClock clock_;
@@ -310,43 +301,18 @@ class AgentDaemon {
   std::uint64_t syncsReceived_ = 0;
 
   // --- mesh state ---
-  /// Requests routed off this agent, by task id: the peer now responsible
-  /// (forward target, or the thief that took a parked task) plus the original
-  /// request, kept so a kForwardDeny can fall back to local scheduling.
-  /// Terminal frames arriving over a peer link consult this map first - the
-  /// server is not in servers_ here - and relay to the original client.
-  struct ForwardedTask {
-    std::string peer;
-    wire::ScheduleRequestMsg request;
-    /// Agent the request arrived from (multi-hop forwards answer with
-    /// kForwardDeny there); empty when the requester is a client.
-    std::string fromAgent;
-  };
-  std::map<std::uint64_t, ForwardedTask> forwardedTo_;
-  /// Requests parked awaiting a kStealRequest (stealing topologies).
-  std::deque<wire::ScheduleRequestMsg> parked_;
+  mesh::AgentNode node_;
   /// Requests that could not be routed yet (no peer digest seen, typically
   /// the startup race before the first sync round); retried every poll cycle
   /// until the heartbeat timeout, then denied.
-  struct DeferredRoute {
-    std::weak_ptr<wire::TcpTransport> requester;
-    wire::ScheduleRequestMsg msg;
+  struct DeferredRoute {  ///< the requester stays in taskClients_
+    workload::TaskInstance task;
     std::uint32_t hops = 0;
     std::string fromAgent;
     double firstSeen = 0.0;
   };
   std::vector<DeferredRoute> deferred_;
-  /// DecisionLog origin tag per task ("forward:<agent>" / "steal:<agent>"),
-  /// consumed by the decision annotator and erased at the terminal relay.
-  std::map<std::uint64_t, std::string> taskOrigins_;
   double nextStealAt_ = 0.0;
-  std::uint64_t meshForwards_ = 0;
-  std::uint64_t meshDenies_ = 0;
-  std::uint64_t meshSteals_ = 0;
-  std::uint64_t meshParkedTotal_ = 0;
-
-  /// Non-null when config_.metricsPort >= 0; polled once per runOnce() turn.
-  std::unique_ptr<obs::MetricsHttpServer> metricsServer_;
 };
 
 }  // namespace casched::net

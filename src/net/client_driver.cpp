@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "net/agent_daemon.hpp"
 #include "net/turn_wait.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
@@ -138,13 +139,8 @@ bool ClientDriver::sendTask(std::size_t pos, std::uint64_t wireId) {
   if (chosen == links_.size()) return false;
 
   const workload::TaskInstance& task = metatask_.tasks[pos];
-  wire::ScheduleRequestMsg request;
+  wire::ScheduleRequestMsg request = requestFromTask(task);
   request.taskId = wireId;
-  request.problem = task.type.name;
-  request.inMB = task.type.inMB;
-  request.outMB = task.type.outMB;
-  request.memMB = task.type.memMB;
-  request.refSeconds = task.type.refSeconds;
   // Queued, not sent: a burst of due arrivals (and failover re-submissions)
   // leaves in one write when runOnce flushes below.
   links_[chosen].transport->queue(wire::MessageType::kScheduleRequest,

@@ -180,21 +180,26 @@ class LiveChurnDriver {
   scenario::ChurnDigest digest_;
 };
 
-LiveRunReport runMultiAgent(const scenario::CompiledScenario& compiled,
+/// Deploys the scenario's agents (one without an [agents] section), a server
+/// daemon per testbed entry and the client, all pumped from this thread.
+LiveRunReport runDeployment(const scenario::CompiledScenario& compiled,
                             const LiveRunOptions& options) {
   const scenario::AgentsSpec& spec = compiled.agents;
+  // One shared epoch keeps every daemon's simulation clock aligned.
   const PacedClock clock(options.timeScale);
 
-  // Snapshot files live in a per-run directory; a caller-provided one is
-  // kept (operators may want the snapshots), the default temp one is removed.
+  // Replicas keep snapshot files in a per-run directory; a caller-provided
+  // one is kept (operators may want the snapshots), the default temp one is
+  // removed. A lone agent has nobody to warm and keeps none.
   namespace fs = std::filesystem;
+  const bool replicas = spec.count > 1;
   const bool ownSnapshotDir = options.snapshotDir.empty();
   fs::path snapshotDir = options.snapshotDir.empty()
                              ? fs::temp_directory_path() /
                                    util::strformat("casched-run-%d-%p", ::getpid(),
                                                    static_cast<const void*>(&clock))
                              : fs::path(options.snapshotDir);
-  fs::create_directories(snapshotDir);
+  if (replicas) fs::create_directories(snapshotDir);
 
   std::vector<AgentSlot> slots(spec.count);
   for (std::size_t i = 0; i < spec.count; ++i) {
@@ -203,14 +208,10 @@ LiveRunReport runMultiAgent(const scenario::CompiledScenario& compiled,
     slot.config.agentName = util::strformat("agent-%zu", i);
     slot.config.mode = parseAgentMode(spec.mode);
     slot.config.syncPeriod = spec.syncPeriod;
-    slot.config.snapshotPath =
-        (snapshotDir / (slot.config.agentName + ".htmsnap")).string();
-    if (compiled.mesh.enabled) {
-      slot.config.meshEnabled = true;
-      slot.config.meshRouter = mesh::routerConfigFrom(compiled.mesh);
-      slot.config.meshStealPeriod = compiled.mesh.stealPeriod;
-      slot.config.meshStealBatch = compiled.mesh.stealBatch;
+    if (replicas) {
+      slot.config.snapshotPath = (snapshotDir / (slot.config.agentName + ".htmsnap")).string();
     }
+    slot.config.mesh = mesh::MeshConfig::from(compiled.mesh);
     slot.daemon = std::make_unique<AgentDaemon>(slot.config, clock);
     slot.port = slot.daemon->port();
     slot.config.port = slot.port;  // a restart rebinds the same port
@@ -398,10 +399,8 @@ LiveRunReport runMultiAgent(const scenario::CompiledScenario& compiled,
       report.peerSyncs += slot.daemon->syncsReceived();
       report.peerRowsAdopted += slot.daemon->peerRowsAdopted();
       report.serversRetired += slot.daemon->retiredServerCount();
-      report.meshForwards += slot.daemon->meshForwards();
-      report.meshDenies += slot.daemon->meshDenies();
-      report.meshSteals += slot.daemon->meshSteals();
-      report.meshParked += slot.daemon->meshParked();
+      report.mesh += slot.daemon->meshStats();
+      report.heldTaskEntries += slot.daemon->heldTaskEntries();
     }
     report.resubmissions += share.resubmissions;
     report.perAgent.push_back(std::move(share));
@@ -415,102 +414,10 @@ LiveRunReport runMultiAgent(const scenario::CompiledScenario& compiled,
     }
   }
 
-  if (ownSnapshotDir) {
+  if (replicas && ownSnapshotDir) {
     std::error_code ec;
     fs::remove_all(snapshotDir, ec);  // best effort; temp dir anyway
   }
-  return report;
-}
-
-LiveRunReport runSingleAgent(const scenario::CompiledScenario& compiled,
-                             const LiveRunOptions& options) {
-  // One shared epoch keeps every daemon's simulation clock aligned.
-  const PacedClock clock(options.timeScale);
-
-  AgentDaemonConfig agentConfig = baseAgentConfig(compiled, options);
-  AgentDaemon agent(agentConfig, clock);
-
-  std::vector<std::unique_ptr<NetServerDaemon>> servers;
-  const auto startServer = [&](const psched::MachineSpec& machineSpec,
-                               double speedIndex) {
-    auto daemon = std::make_unique<NetServerDaemon>(
-        serverConfig(machineSpec, speedIndex, {agent.port()}, compiled.system,
-                     options.heartbeatPeriod),
-        clock);
-    daemon->connect();
-    servers.push_back(std::move(daemon));
-  };
-  for (const psched::MachineSpec& machineSpec : compiled.testbed.servers) {
-    startServer(machineSpec, compiled.testbed.costs.speedIndex(machineSpec.name));
-  }
-
-  LiveRunReport report;
-  report.scenario = compiled.name;
-  report.heuristic = options.heuristic;
-  report.timeScale = options.timeScale;
-  report.tasks = compiled.metatask.size();
-
-  const auto stopRequested = [&] {
-    return options.stopFlag != nullptr &&
-           options.stopFlag->load(std::memory_order_relaxed);
-  };
-
-  // Wait for every initial registration before the first arrival fires.
-  const WallDeadline registrationDeadline(5.0);
-  while (agent.liveServerCount() < servers.size() && !stopRequested()) {
-    if (registrationDeadline.passed()) {
-      throw util::IoError("loopback run: initial server registration timed out");
-    }
-    agent.runOnce();
-    for (auto& s : servers) s->runOnce();
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-
-  ClientConfig clientConfig;
-  clientConfig.agentPort = agent.port();
-  ClientDriver client(clientConfig, clock);
-  client.connect();
-  client.start(compiled.metatask);
-
-  // Churn timeline, applied live at its (wall-paced) scenario times.
-  LiveChurnDriver churnDriver(
-      compiled.churn,
-      [&](const std::string& name) -> NetServerDaemon* {
-        for (auto& s : servers) {
-          if (s->name() == name) return s.get();
-        }
-        return nullptr;
-      },
-      startServer, report);
-
-  const WallDeadline deadline(options.wallTimeoutSeconds);
-  while (!client.done() && !stopRequested()) {
-    if (deadline.passed()) {
-      report.timedOut = true;
-      break;
-    }
-    churnDriver.pump(clock.simNow());
-    agent.runOnce();
-    for (auto& s : servers) s->runOnce();
-    client.runOnce();
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-  churnDriver.finish();
-
-  report.outcomes = agent.agent().collectOutcomes();
-  for (const metrics::TaskOutcome& o : report.outcomes) {
-    if (o.status == metrics::TaskStatus::kCompleted) ++report.completed;
-    else ++report.lost;
-  }
-  report.resubmissions = countResubmissions(report.outcomes);
-  report.serversStarted = servers.size();
-  report.serversRetired = agent.retiredServerCount();
-  report.wallSeconds = clock.wallElapsed();
-  report.simEndTime = agent.simulator().now();
-  AgentShare share;
-  share.name = agent.agentName();
-  accumulateShare(share, report.outcomes);
-  report.perAgent.push_back(std::move(share));
   return report;
 }
 
@@ -528,8 +435,7 @@ LiveRunReport runLoopbackScenario(const scenario::ScenarioSpec& spec,
                                   const LiveRunOptions& options) {
   const scenario::CompiledScenario compiled =
       scenario::compileScenario(spec, options.seed);
-  LiveRunReport report = compiled.agents.count > 1 ? runMultiAgent(compiled, options)
-                                                   : runSingleAgent(compiled, options);
+  LiveRunReport report = runDeployment(compiled, options);
   report.generatedChurn = compiled.generatedChurn;
   report.churnPlanned =
       scenario::summarizeChurnTimeline(compiled.churn, compiled.faultDomains);
@@ -598,10 +504,10 @@ std::string liveRunJson(const LiveRunReport& report) {
   json.endObject();
   json.key("mesh");
   json.beginObject();
-  json.key("forwards").value(report.meshForwards);
-  json.key("denies").value(report.meshDenies);
-  json.key("steals").value(report.meshSteals);
-  json.key("parked").value(report.meshParked);
+  json.key("forwards").value(report.mesh.forwards);
+  json.key("denies").value(report.mesh.forwardDenies);
+  json.key("steals").value(report.mesh.steals);
+  json.key("parked").value(report.mesh.parked);
   json.key("client_denies").value(report.clientDenies);
   json.endObject();
   json.key("wall_seconds").value(report.wallSeconds);

@@ -114,14 +114,13 @@ struct LiveRunReport {
   std::vector<AgentShare> perAgent;
 
   // --- mesh deployments ([mesh] section) ---
-  /// Requests handed to a peer agent (kForwardRequest), summed over agents.
-  std::uint64_t meshForwards = 0;
-  /// Client- or peer-facing denies (kScheduleDeny / kForwardDeny) sent.
-  std::uint64_t meshDenies = 0;
-  /// Tasks pulled off a peer's parked queue (kStealGrant), summed.
-  std::uint64_t meshSteals = 0;
-  /// Requests ever parked awaiting a steal, summed.
-  std::uint64_t meshParked = 0;
+  /// Forwards (kForwardRequest), client- or peer-facing denies
+  /// (kScheduleDeny / kForwardDeny), tasks taken by steal grants, and
+  /// requests ever parked, summed over the surviving agents.
+  metrics::MeshSummary mesh;
+  /// Per-task entries the surviving agents still held when the run ended
+  /// (AgentDaemon::heldTaskEntries); 0 once every answer has been relayed.
+  std::size_t heldTaskEntries = 0;
   /// kScheduleDeny notices the client received.
   std::uint64_t clientDenies = 0;
 };

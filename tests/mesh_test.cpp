@@ -13,11 +13,13 @@
 #include <vector>
 
 #include "exp/runner.hpp"
+#include "mesh/agent_node.hpp"
 #include "mesh/router.hpp"
 #include "scenario/generate.hpp"
 #include "scenario/parser.hpp"
 #include "scenario/registry.hpp"
 #include "util/error.hpp"
+#include "workload/task_types.hpp"
 
 namespace casched {
 namespace {
@@ -27,12 +29,13 @@ using scenario::ScenarioSpec;
 
 // --- router policy -------------------------------------------------------
 
-mesh::RouterConfig routerConfig(bool forwarding, double threshold, bool stealing) {
-  mesh::RouterConfig c;
+mesh::MeshConfig routerConfig(bool forwarding, double threshold, bool stealing) {
+  mesh::MeshConfig c;
+  c.enabled = true;
   c.forwarding = forwarding;
   c.hopLimit = 1;
   c.overloadThreshold = threshold;
-  c.stealing = stealing;
+  c.stealPeriod = stealing ? 5.0 : 0.0;
   return c;
 }
 
@@ -40,7 +43,7 @@ TEST(MeshRouter, FeasibleAndCalmStaysLocal) {
   mesh::LocalView local;
   local.feasible = true;
   local.meanLoad = 0.5;
-  const std::vector<mesh::PeerDigest> peers{{1, 0.0, 4, 0}};
+  const std::vector<mesh::PeerDigest> peers{{1, "peer1", 0.0, 4, 0}};
   const auto d = decideRoute(routerConfig(true, 0.0, false), local, peers);
   EXPECT_EQ(d.kind, mesh::RouteKind::kLocal);
 }
@@ -51,39 +54,241 @@ TEST(MeshRouter, OverloadForwardsOnlyToALessLoadedPeer) {
   local.now = 100.0;
   local.predictedCompletion = 400.0;  // 300 s out, threshold 90
   local.meanLoad = 3.0;
-  std::vector<mesh::PeerDigest> peers{{1, 1.0, 4, 0}, {2, 0.5, 2, 0}};
+  std::vector<mesh::PeerDigest> peers{{1, "peer1", 1.0, 4, 0}, {2, "peer2", 0.5, 2, 0}};
   auto d = decideRoute(routerConfig(true, 90.0, false), local, peers);
   EXPECT_EQ(d.kind, mesh::RouteKind::kForward);
   EXPECT_EQ(d.peer, 2u);  // least loaded wins
   // Every peer busier than us: place locally anyway.
-  peers = {{1, 5.0, 4, 0}};
+  peers = {{1, "peer1", 5.0, 4, 0}};
   d = decideRoute(routerConfig(true, 90.0, false), local, peers);
   EXPECT_EQ(d.kind, mesh::RouteKind::kLocal);
   // Under the threshold: never forward.
   local.predictedCompletion = 150.0;
-  peers = {{1, 0.0, 4, 0}};
+  peers = {{1, "peer1", 0.0, 4, 0}};
   d = decideRoute(routerConfig(true, 90.0, false), local, peers);
   EXPECT_EQ(d.kind, mesh::RouteKind::kLocal);
 }
 
 TEST(MeshRouter, InfeasibleForwardsParksOrDenies) {
   mesh::LocalView local;  // no feasible server
-  std::vector<mesh::PeerDigest> peers{{1, 9.0, 2, 0}};
+  std::vector<mesh::PeerDigest> peers{{1, "peer1", 9.0, 2, 0}};
   // Any capable peer takes an infeasible request, load regardless.
   auto d = decideRoute(routerConfig(true, 0.0, false), local, peers);
   EXPECT_EQ(d.kind, mesh::RouteKind::kForward);
   EXPECT_EQ(d.peer, 1u);
   // Peers with zero live servers cannot help: deny (or park when stealing).
-  peers = {{1, 0.0, 0, 0}};
+  peers = {{1, "peer1", 0.0, 0, 0}};
   d = decideRoute(routerConfig(true, 0.0, false), local, peers);
   EXPECT_EQ(d.kind, mesh::RouteKind::kDeny);
   d = decideRoute(routerConfig(true, 0.0, true), local, peers);
   EXPECT_EQ(d.kind, mesh::RouteKind::kPark);
   // Hop limit spent: no second forward.
   local.hops = 1;
-  peers = {{1, 0.0, 4, 0}};
+  peers = {{1, "peer1", 0.0, 4, 0}};
   d = decideRoute(routerConfig(true, 0.0, false), local, peers);
   EXPECT_EQ(d.kind, mesh::RouteKind::kDeny);
+}
+
+// --- AgentNode: the agent's bookkeeping, driven with no transport ----------
+//
+// Each case plays the events a driver would feed the node and ends with the
+// node drained: no entry survives a task that reached its terminal state.
+
+mesh::AgentNode meshNode(const std::string& name, bool stealing = false,
+                         std::uint32_t hopLimit = 1) {
+  mesh::MeshConfig config = routerConfig(true, 0.0, stealing);
+  config.hopLimit = hopLimit;
+  config.stealBatch = 2;
+  return mesh::AgentNode(config, name);
+}
+
+workload::TaskInstance meshTask(std::uint64_t id) {
+  workload::TaskInstance task;
+  task.index = id;
+  task.type = workload::makeSyntheticType("work", 0.0, 10.0, 0.0, 0.0);
+  return task;
+}
+
+mesh::LocalView view(bool feasible, std::uint32_t hops = 0) {
+  mesh::LocalView local;
+  local.feasible = feasible;
+  local.hops = hops;
+  return local;
+}
+
+const auto kFeasible = [](const workload::TaskInstance&) { return true; };
+const auto kInfeasible = [](const workload::TaskInstance&) { return false; };
+const auto kNotElsewhere = [](std::uint64_t) { return false; };
+
+TEST(MeshNode, ParkedTaskIsStolenAndTaggedWithItsVictim) {
+  mesh::AgentNode root = meshNode("root", /*stealing=*/true);
+  mesh::AgentNode leaf = meshNode("leaf", /*stealing=*/true);
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    EXPECT_EQ(root.route(meshTask(id), "", view(false), {}).kind, mesh::RouteKind::kPark);
+  }
+  EXPECT_EQ(root.parked().size(), 3u);
+
+  // The idle leaf picks the peer with parked work; a busy or serverless one
+  // does not steal.
+  const std::vector<mesh::PeerDigest> digests{{0, "root", 0.0, 0, 3}};
+  ASSERT_EQ(leaf.stealTarget(2, digests), std::optional<std::size_t>(0));
+  EXPECT_FALSE(leaf.stealTarget(0, digests).has_value());
+  EXPECT_FALSE(root.stealTarget(2, {}).has_value());
+
+  // Oldest first, up to the batch; the grant is placed at the thief.
+  std::vector<workload::TaskInstance> granted =
+      root.stealRequested("leaf", leaf.config().stealBatch);
+  ASSERT_EQ(granted.size(), 2u);
+  EXPECT_EQ(granted[0].index, 1u);
+  EXPECT_EQ(root.parked().size(), 1u);
+  const mesh::StealPlacement placement =
+      leaf.stealGranted("root", std::move(granted), kNotElsewhere);
+  ASSERT_EQ(placement.place.size(), 2u);
+  EXPECT_TRUE(placement.refused.empty());
+  EXPECT_EQ(leaf.originOf(1), "steal:root");
+  EXPECT_EQ(leaf.stats().steals, 2u);
+  EXPECT_EQ(root.stats().parked, 3u);
+
+  // Terminal at the thief names the victim; the victim relays to its client.
+  for (std::uint64_t id = 1; id <= 2; ++id) {
+    const mesh::TerminalRelay here = leaf.terminal(id);
+    EXPECT_FALSE(here.handedOff);
+    EXPECT_EQ(here.fromAgent, "root");
+    const mesh::TerminalRelay back = root.terminal(id);
+    EXPECT_TRUE(back.handedOff);
+    EXPECT_EQ(back.fromAgent, "");
+  }
+  EXPECT_EQ(leaf.originOf(1), "local");
+  EXPECT_EQ(leaf.entryCount(), 0u);
+  // Only task 3, still parked, is held.
+  EXPECT_EQ(root.entryCount(), 1u);
+  EXPECT_TRUE(root.holds(3));
+  ASSERT_EQ(root.stealRequested("leaf", 4).size(), 1u);
+  EXPECT_TRUE(root.terminal(3).handedOff);
+  EXPECT_EQ(root.entryCount(), 0u);
+}
+
+TEST(MeshNode, TasksHandedToALostPeerComeBackToBeRerouted) {
+  mesh::AgentNode node = meshNode("a");
+  const std::vector<mesh::PeerDigest> both{{0, "b", 1.0, 2, 0}, {1, "c", 2.0, 2, 0}};
+  for (std::uint64_t id = 1; id <= 2; ++id) {
+    const mesh::RouteDecision d = node.route(meshTask(id), "", view(false), both);
+    ASSERT_EQ(d.kind, mesh::RouteKind::kForward);
+    EXPECT_EQ(d.peer, 0u);  // least loaded
+  }
+  EXPECT_EQ(node.stats().forwards, 2u);
+  EXPECT_TRUE(node.peerLost("c").empty());
+
+  const std::vector<mesh::HeldTask> orphans = node.peerLost("b");
+  ASSERT_EQ(orphans.size(), 2u);
+  EXPECT_EQ(orphans[0].task.index, 1u);
+  EXPECT_EQ(orphans[0].fromAgent, "");
+  EXPECT_EQ(node.entryCount(), 0u);
+
+  const std::vector<mesh::PeerDigest> survivors{{1, "c", 2.0, 2, 0}};
+  for (const mesh::HeldTask& orphan : orphans) {
+    const mesh::RouteDecision d =
+        node.route(orphan.task, orphan.fromAgent, view(false), survivors);
+    ASSERT_EQ(d.kind, mesh::RouteKind::kForward);
+    EXPECT_EQ(d.peer, 1u);
+  }
+  for (std::uint64_t id = 1; id <= 2; ++id) {
+    EXPECT_TRUE(node.terminal(id).handedOff);
+  }
+  EXPECT_EQ(node.entryCount(), 0u);
+}
+
+TEST(MeshNode, DeniedForwardRunsHereWhenFeasibleAndIsDeniedOtherwise) {
+  mesh::AgentNode node = meshNode("a", /*stealing=*/false, /*hopLimit=*/2);
+  const std::vector<mesh::PeerDigest> peers{{0, "b", 0.0, 2, 0}};
+  // Task 1 from a client, task 2 forwarded here by "x", task 3 from a client.
+  ASSERT_EQ(node.route(meshTask(1), "", view(false), peers).kind, mesh::RouteKind::kForward);
+  ASSERT_EQ(node.route(meshTask(2), "x", view(false, 1), peers).kind,
+            mesh::RouteKind::kForward);
+  ASSERT_EQ(node.route(meshTask(3), "", view(false), peers).kind, mesh::RouteKind::kForward);
+  EXPECT_FALSE(node.forwardDenied(99, kFeasible).has_value());
+
+  // A server that can run it has appeared here: place it.
+  auto bounce = node.forwardDenied(1, kFeasible);
+  ASSERT_TRUE(bounce.has_value());
+  EXPECT_TRUE(bounce->placeHere);
+  EXPECT_EQ(bounce->task.index, 1u);
+  EXPECT_FALSE(node.holds(1));  // a client's task needs no entry to run here
+
+  bounce = node.forwardDenied(2, kFeasible);
+  ASSERT_TRUE(bounce.has_value());
+  EXPECT_TRUE(bounce->placeHere);
+  EXPECT_EQ(node.originOf(2), "forward:x");
+
+  // Nothing here can run it: the refusal goes on to the requester.
+  bounce = node.forwardDenied(3, kInfeasible);
+  ASSERT_TRUE(bounce.has_value());
+  EXPECT_FALSE(bounce->placeHere);
+  EXPECT_EQ(bounce->fromAgent, "");
+  node.denied();
+  EXPECT_EQ(node.stats().forwardDenies, 1u);
+
+  const mesh::TerminalRelay relay = node.terminal(2);
+  EXPECT_FALSE(relay.handedOff);
+  EXPECT_EQ(relay.fromAgent, "x");
+  EXPECT_FALSE(node.terminal(1).handedOff);
+  EXPECT_EQ(node.entryCount(), 0u);
+}
+
+TEST(MeshNode, DuplicateIdsAreRejected) {
+  mesh::AgentNode node = meshNode("a", /*stealing=*/true);
+  ASSERT_EQ(node.route(meshTask(5), "", view(false), {}).kind, mesh::RouteKind::kPark);
+  const mesh::RouteDecision again = node.route(meshTask(5), "", view(false), {});
+  EXPECT_EQ(again.kind, mesh::RouteKind::kDeny);
+  EXPECT_STREQ(again.reason, "task id already used");
+  EXPECT_EQ(node.parked().size(), 1u);
+
+  // A grant is refused for an id held by the node or by its scheduling core.
+  std::vector<workload::TaskInstance> grant{meshTask(5), meshTask(6), meshTask(7)};
+  const mesh::StealPlacement placement = node.stealGranted(
+      "b", std::move(grant), [](std::uint64_t id) { return id == 6; });
+  ASSERT_EQ(placement.place.size(), 1u);
+  EXPECT_EQ(placement.place[0].index, 7u);
+  EXPECT_EQ(placement.refused, (std::vector<std::uint64_t>{5, 6}));
+  EXPECT_STREQ(placement.reason, "task id already used");
+
+  // Without the mesh, nothing is taken from a peer.
+  mesh::AgentNode plain(mesh::MeshConfig{}, "plain");
+  EXPECT_EQ(plain.route(meshTask(8), "", view(false), {}).kind, mesh::RouteKind::kLocal);
+  EXPECT_EQ(plain.route(meshTask(8), "b", view(true), {}).kind, mesh::RouteKind::kDeny);
+  const mesh::StealPlacement refused =
+      plain.stealGranted("b", {meshTask(9)}, kNotElsewhere);
+  EXPECT_TRUE(refused.place.empty());
+  EXPECT_STREQ(refused.reason, "mesh disabled");
+  EXPECT_EQ(plain.entryCount(), 0u);
+
+  EXPECT_FALSE(node.terminal(7).handedOff);
+  ASSERT_EQ(node.stealRequested("c", 4).size(), 1u);
+  EXPECT_TRUE(node.terminal(5).handedOff);
+  EXPECT_EQ(node.entryCount(), 0u);
+}
+
+TEST(MeshNode, HopLimitAndSenderBoundForwarding) {
+  mesh::AgentNode node = meshNode("a", /*stealing=*/false, /*hopLimit=*/2);
+  const std::vector<mesh::PeerDigest> peers{{0, "b", 0.0, 2, 0}, {1, "c", 1.0, 2, 0}};
+  // One hop left: forwarded, and never straight back to the sender "b".
+  mesh::RouteDecision d = node.route(meshTask(1), "b", view(false, 1), peers);
+  ASSERT_EQ(d.kind, mesh::RouteKind::kForward);
+  EXPECT_EQ(d.peer, 1u);
+  // Hops spent: denied, although capable peers exist.
+  d = node.route(meshTask(2), "b", view(false, 2), peers);
+  EXPECT_EQ(d.kind, mesh::RouteKind::kDeny);
+  EXPECT_STREQ(d.reason, "hop-limit");
+  // The sender is the only capable peer: nobody to forward to.
+  const std::vector<mesh::PeerDigest> senderOnly{{0, "b", 0.0, 2, 0}};
+  d = node.route(meshTask(3), "b", view(false, 1), senderOnly);
+  EXPECT_EQ(d.kind, mesh::RouteKind::kDeny);
+  EXPECT_EQ(node.stats().forwards, 1u);
+
+  const mesh::TerminalRelay relay = node.terminal(1);
+  EXPECT_TRUE(relay.handedOff);
+  EXPECT_EQ(relay.fromAgent, "b");
+  EXPECT_EQ(node.entryCount(), 0u);
 }
 
 // --- [mesh] parsing + validation -----------------------------------------

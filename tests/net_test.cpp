@@ -760,8 +760,11 @@ TEST(MeshLive, SaturatedRescueAgreesWithSimulatorCounts) {
 
   ASSERT_FALSE(live.timedOut);
   EXPECT_EQ(live.lost, 0u);
-  EXPECT_GT(live.meshForwards, 0u);
+  EXPECT_GT(live.mesh.forwards, 0u);
   EXPECT_EQ(live.clientDenies, 0u);
+  // Every relay path ran: no agent keeps a parked, handed-off, origin or
+  // client entry for a finished task.
+  EXPECT_EQ(live.heldTaskEntries, 0u);
 
   // The acceptance bar: zero lost tasks on both sides at the same seed, which
   // makes the completed counts equal by construction - and locks them.
@@ -804,8 +807,9 @@ TEST(MeshLive, HierarchyRootRoutesEverythingToTheLeaves) {
   ASSERT_FALSE(live.timedOut);
   EXPECT_EQ(live.lost, 0u);
   // The root owns no rack: every request takes exactly one hop to a leaf.
-  EXPECT_EQ(live.meshForwards, live.tasks);
+  EXPECT_EQ(live.mesh.forwards, live.tasks);
   EXPECT_EQ(live.clientDenies, 0u);
+  EXPECT_EQ(live.heldTaskEntries, 0u);
 
   const scenario::CompiledScenario compiled = scenario::compileScenario(
       scenario::findScenario("mesh/hierarchy_4agent"), options.seed);
@@ -830,10 +834,77 @@ TEST(MeshLive, WorkStealingDrainsTheRootQueueOverTheWire) {
   EXPECT_EQ(live.lost, 0u);
   // Forwarding is off: the serverless root parks everything; the leaves pull
   // every task off its queue over kStealRequest/kStealGrant.
-  EXPECT_EQ(live.meshForwards, 0u);
-  EXPECT_EQ(live.meshParked, live.tasks);
-  EXPECT_EQ(live.meshSteals, live.tasks);
+  EXPECT_EQ(live.mesh.forwards, 0u);
+  EXPECT_EQ(live.mesh.parked, live.tasks);
+  EXPECT_EQ(live.mesh.steals, live.tasks);
   EXPECT_EQ(live.completed, live.tasks);
+  EXPECT_EQ(live.heldTaskEntries, 0u);
+}
+
+// --- every steal grant is answered --------------------------------------
+
+/// Plays a victim agent over a raw TCP link: says hello, grants `tasks` to
+/// the agent under test, and returns the task ids the agent failed back
+/// over the link (empty when the wall budget ran out first).
+std::set<std::uint64_t> grantFromFakePeer(AgentDaemon& agent,
+                                          const std::vector<std::uint64_t>& tasks) {
+  auto peer = wire::TcpTransport::connect("127.0.0.1", agent.port());
+  wire::AgentHelloMsg hello;
+  hello.agentName = "fake-victim";
+  hello.mode = "partitioned";
+  peer->send(wire::MessageType::kAgentHello, wire::encode(hello));
+  wire::StealGrantMsg grant;
+  grant.agentName = hello.agentName;
+  for (const std::uint64_t id : tasks) {
+    grant.tasks.push_back({id, "stolen-work", 0.0, 0.0, 0.0, 1.0});
+  }
+  peer->send(wire::MessageType::kStealGrant, wire::encode(grant));
+
+  std::set<std::uint64_t> failed;
+  pumpUntil({[&] { agent.runOnce(); },
+             [&] {
+               peer->poll([&](wire::Frame frame) {
+                 if (frame.type != wire::MessageType::kTaskFailed) return;
+                 failed.insert(wire::decodeTaskFailed(frame.payload).taskId);
+               });
+             }},
+            [&] { return failed.size() == tasks.size(); }, 3.0);
+  return failed;
+}
+
+TEST(StealGrant, IdAlreadyHeldHereIsFailedBackToTheVictim) {
+  const PacedClock clock(500.0);
+  AgentDaemonConfig config;
+  config.heuristic = "mct";
+  config.agentName = "thief";
+  config.mesh.enabled = true;
+  config.mesh.stealPeriod = 5.0;  // parking on: unplaceable requests wait
+  AgentDaemon agent(config, clock);
+
+  // The agent's own client submits task 7; with no server anywhere it parks.
+  auto client = wire::TcpTransport::connect("127.0.0.1", agent.port());
+  client->send(wire::MessageType::kScheduleRequest,
+               wire::encode(wire::ScheduleRequestMsg{7, "own-work", 0.0, 0.0, 0.0, 1.0}));
+  ASSERT_TRUE(pumpUntil({[&] { agent.runOnce(); }},
+                        [&] { return agent.meshStats().parked == 1; }, 5.0));
+
+  // A peer now grants a task with the same id: it must hear a failure for
+  // it (its client is waiting), and the client's own task stays parked.
+  EXPECT_EQ(grantFromFakePeer(agent, {7}), (std::set<std::uint64_t>{7}));
+  EXPECT_EQ(agent.meshStats().steals, 0u);
+  EXPECT_EQ(agent.meshStats().parked, 1u);
+}
+
+TEST(StealGrant, AgentWithoutMeshFailsEveryGrantedTaskBackToTheVictim) {
+  const PacedClock clock(500.0);
+  AgentDaemonConfig config;
+  config.heuristic = "mct";
+  config.agentName = "no-mesh";
+  AgentDaemon agent(config, clock);
+
+  EXPECT_EQ(grantFromFakePeer(agent, {9, 10}), (std::set<std::uint64_t>{9, 10}));
+  EXPECT_FALSE(agent.agent().knowsTask(9));
+  EXPECT_EQ(agent.heldTaskEntries(), 0u);
 }
 
 // --- explicit deny instead of a silent client timeout --------------------
