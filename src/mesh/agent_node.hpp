@@ -4,7 +4,7 @@
 /// node alone owns an agent's per-task mesh state - parked queue, tasks
 /// handed off to peers, tasks placed here for a peer with their origin tags,
 /// mesh counters - and holds no socket, clock, simulator or wire type. Its
-/// driver asks the scheduling core (cas::Agent) what the node needs and
+/// owner asks the scheduling core (cas::Agent) what the node needs and
 /// carries out its decisions: cas::GridSystem as simulator events,
 /// net::AgentDaemon as frames. A task has an entry while parked, handed off
 /// or placed here for a peer, until its terminal or until the node hands it
@@ -24,7 +24,7 @@
 
 namespace casched::mesh {
 
-/// A task handed back to the driver, with its sender ("" for a client).
+/// A task handed back to the caller, with its sender ("" for a client).
 struct HeldTask {
   workload::TaskInstance task;
   std::string fromAgent;
@@ -53,7 +53,7 @@ class AgentNode {
   /// `fromAgent`. The sender is skipped among `peers` (no straight bounce
   /// back). kLocal: place it now. kForward: send it to the peer with digest
   /// index `peer`, hops + 1. kPark: queued for a steal. kDeny: nothing is
-  /// held; the driver answers (or retries later) and counts it with denied().
+  /// held; the caller answers (or retries later) and counts it with denied().
   RouteDecision route(const workload::TaskInstance& task, const std::string& fromAgent,
                       const LocalView& local, std::span<const PeerDigest> peers);
   void denied() { ++stats_.forwardDenies; }

@@ -91,7 +91,7 @@ TEST(MeshRouter, InfeasibleForwardsParksOrDenies) {
 
 // --- AgentNode: the agent's bookkeeping, driven with no transport ----------
 //
-// Each case plays the events a driver would feed the node and ends with the
+// Each case plays the events an agent would feed the node and ends with the
 // node drained: no entry survives a task that reached its terminal state.
 
 mesh::AgentNode meshNode(const std::string& name, bool stealing = false,
