@@ -65,7 +65,7 @@ void BM_HtmPreview(benchmark::State& state) {
   }
   state.SetLabel(std::to_string(tasks) + " tasks in trace");
 }
-BENCHMARK(BM_HtmPreview)->Arg(4)->Arg(16)->Arg(64)->Arg(128);
+BENCHMARK(BM_HtmPreview)->Arg(1)->Arg(4)->Arg(16)->Arg(64)->Arg(128)->Arg(512);
 
 void BM_HtmCommitAndAdvance(benchmark::State& state) {
   const auto tasks = static_cast<std::size_t>(state.range(0));

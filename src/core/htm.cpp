@@ -18,6 +18,15 @@ constexpr std::uint64_t kHypotheticalId = ~0ULL;
 bool byTaskId(const PredictedEntry& a, const PredictedEntry& b) {
   return a.taskId < b.taskId;
 }
+
+/// Sorts by task id. Drains list completions in completion order, which for
+/// a shallow trace is often id order already; skipping the sort call then
+/// matters on the per-decision path.
+void sortByTaskId(std::vector<PredictedEntry>& entries) {
+  if (!std::is_sorted(entries.begin(), entries.end(), byTaskId)) {
+    std::sort(entries.begin(), entries.end(), byTaskId);
+  }
+}
 }  // namespace
 
 SyncPolicy parseSyncPolicy(const std::string& name) {
@@ -99,74 +108,59 @@ void HistoricalTraceManager::previewInto(ServerId id, const TaskDims& dims,
                                          Preview& out, bool perturbations) const {
   const Entry& entry = row(id);
   ++stats_.previews;
+  out.server = id;
+  out.sumPerturbation = 0.0;
+  out.perturbedCount = 0;
+  out.perTask.clear();
+  const TaskDims adjusted = adjustedDims(entry, dims);
+  PreviewMemo& memo = entry.memo;
+  const std::uint64_t version = entry.trace.version();
 
   if (!perturbations) {
-    // completionNew only: one simulation pass, stopped at the hypothetical
-    // task's completion (its prefix matches the full pass bit for bit).
-    // A preview is a pure function of (trace state, now, dims, startDelay),
-    // so an unchanged server answers straight from its memo - the common
-    // case inside a placement batch, where each decision mutates one trace.
-    out.server = id;
-    out.sumPerturbation = 0.0;
-    out.perturbedCount = 0;
-    out.perTask.clear();
-    const TaskDims adjusted = adjustedDims(entry, dims);
-    PreviewMemo& memo = entry.memo;
-    if (memo.valid && memo.traceVersion == entry.trace.version() &&
-        memo.now == now && memo.startDelay == startDelay &&
-        memo.dims.inMB == adjusted.inMB &&
-        memo.dims.cpuSeconds == adjusted.cpuSeconds &&
-        memo.dims.outMB == adjusted.outMB) {
+    // completionNew only: one drain, stopped at the hypothetical task's
+    // completion (its prefix matches the full drain bit for bit), or no
+    // drain at all when the memo already holds this preview.
+    if (memo.matches(version, now, startDelay, adjusted)) {
       out.completionNew = memo.completionNew;
       return;
     }
     simcore::SimTime t;
-    entry.trace.copyAdvanced(scratch_.base, &t, now);
+    entry.trace.copyAdvanced(scratch_.base, &t, now, scratch_.drain);
     TraceTask hyp;
     const bool admitted =
         entry.trace.buildAdmitted(kHypotheticalId, adjusted, now, startDelay, &hyp);
     CASCHED_CHECK(admitted, "hypothetical task vanished from trace");
     scratch_.base.push_back(hyp);
-    out.completionNew = entry.trace.completeOne(scratch_.base, t, kHypotheticalId);
+    out.completionNew =
+        entry.trace.completeOne(scratch_.base, t, kHypotheticalId, scratch_.drain);
     CASCHED_CHECK(out.completionNew != simcore::kTimeInfinity,
                   "hypothetical task vanished from trace");
-    memo.valid = true;
-    memo.traceVersion = entry.trace.version();
-    memo.now = now;
-    memo.startDelay = startDelay;
-    memo.dims = adjusted;
-    memo.completionNew = out.completionNew;
+    memo.remember(version, now, startDelay, adjusted, out.completionNew);
+    memo.after.clear();
     return;
   }
 
   // Work on a copy advanced to `now`; the committed trace stays untouched
-  // (it is advanced lazily on commits/notices). All buffers are reused - the
-  // arithmetic is the same, in the same order, as the historical
-  // copy-the-ServerTrace path, so results are bit-identical.
+  // (it is advanced lazily on commits/notices). All buffers are reused.
   simcore::SimTime t;
-  entry.trace.copyAdvanced(scratch_.base, &t, now);
+  entry.trace.copyAdvanced(scratch_.base, &t, now, scratch_.drain);
 
   scratch_.work = scratch_.base;
   scratch_.before.clear();
-  entry.trace.completeInto(scratch_.work, t, scratch_.before);
+  entry.trace.completeInto(scratch_.work, t, scratch_.before, scratch_.drain);
 
   TraceTask hyp;
-  if (entry.trace.buildAdmitted(kHypotheticalId, adjustedDims(entry, dims), now,
-                                startDelay, &hyp)) {
+  if (entry.trace.buildAdmitted(kHypotheticalId, adjusted, now, startDelay, &hyp)) {
     scratch_.base.push_back(hyp);
   }
   scratch_.work = scratch_.base;
   scratch_.after.clear();
-  entry.trace.completeInto(scratch_.work, t, scratch_.after);
+  entry.trace.completeInto(scratch_.work, t, scratch_.after, scratch_.drain);
 
   // Merge in ascending task-id order (kHypotheticalId sorts last).
-  std::sort(scratch_.before.begin(), scratch_.before.end(), byTaskId);
-  std::sort(scratch_.after.begin(), scratch_.after.end(), byTaskId);
+  sortByTaskId(scratch_.before);
+  sortByTaskId(scratch_.after);
 
-  out.server = id;
-  out.sumPerturbation = 0.0;
-  out.perturbedCount = 0;
-  out.perTask.clear();
   CASCHED_CHECK(!scratch_.after.empty() &&
                     scratch_.after.back().taskId == kHypotheticalId,
                 "hypothetical task vanished from trace");
@@ -182,6 +176,10 @@ void HistoricalTraceManager::previewInto(ServerId id, const TaskDims& dims,
     out.sumPerturbation += delta;
     if (delta > kPerturbEps) ++out.perturbedCount;
   }
+  // Keep the post-admission drain for commit; the swap hands the memo's old
+  // buffer back to the scratch, so neither side allocates.
+  memo.remember(version, now, startDelay, adjusted, out.completionNew);
+  memo.after.swap(scratch_.after);
 }
 
 Preview HistoricalTraceManager::preview(ServerId id, const TaskDims& dims,
@@ -200,15 +198,32 @@ simcore::SimTime HistoricalTraceManager::commit(ServerId id, std::uint64_t taskI
                                                 const TaskDims& dims,
                                                 simcore::SimTime now, double startDelay) {
   Entry& entry = row(id);
-  entry.trace.admit(taskId, adjustedDims(entry, dims), now, startDelay);
+  const TaskDims adjusted = adjustedDims(entry, dims);
+  PreviewMemo& memo = entry.memo;
+  const bool previewed = !memo.after.empty() &&
+                         memo.matches(entry.trace.version(), now, startDelay, adjusted);
+  entry.trace.advanceTo(now, scratch_.drain);  // admit's own advance is then a no-op
+  entry.trace.admit(taskId, adjusted, now, startDelay);
   // Refresh the prediction of EVERY task on this server: the paper's Table 1
   // compares real completion dates against the HTM's final simulation, which
   // accounts for all tasks mapped before each completion (the new task
   // perturbs its neighbours' dates).
-  scratch_.work = entry.trace.tasks();
-  scratch_.after.clear();
-  entry.trace.completeInto(scratch_.work, entry.trace.now(), scratch_.after);
-  std::sort(scratch_.after.begin(), scratch_.after.end(), byTaskId);
+  if (previewed) {
+    // The full preview of this very mapping drained the same state: take its
+    // list and give the hypothetical entry (sorted last) the real id.
+    scratch_.after.swap(memo.after);
+    memo.after.clear();
+    scratch_.after.back().taskId = taskId;
+    const auto last = scratch_.after.end() - 1;
+    std::rotate(std::lower_bound(scratch_.after.begin(), last, *last, byTaskId), last,
+                scratch_.after.end());
+  } else {
+    scratch_.work = entry.trace.tasks();
+    scratch_.after.clear();
+    entry.trace.completeInto(scratch_.work, entry.trace.now(), scratch_.after,
+                             scratch_.drain);
+    sortByTaskId(scratch_.after);
+  }
 
   simcore::SimTime predictedNew = simcore::kTimeInfinity;
   std::vector<PredictedRow>& pred = entry.predicted;
@@ -235,7 +250,7 @@ simcore::SimTime HistoricalTraceManager::commit(const std::string& server,
 
 void HistoricalTraceManager::advanceAll(simcore::SimTime now) {
   for (std::optional<Entry>& entry : rows_) {
-    if (entry.has_value()) entry->trace.advanceTo(now);
+    if (entry.has_value()) entry->trace.advanceTo(now, scratch_.drain);
   }
 }
 
@@ -266,7 +281,7 @@ void HistoricalTraceManager::onTaskCompleted(ServerId id, std::uint64_t taskId,
   }
 
   if (policy_ == SyncPolicy::kPredictOnly) return;
-  entry.trace.advanceTo(actualCompletion);
+  entry.trace.advanceTo(actualCompletion, scratch_.drain);
   entry.trace.remove(taskId);  // no-op when the simulation already retired it
 }
 
@@ -280,7 +295,7 @@ void HistoricalTraceManager::onTaskFailed(ServerId id, std::uint64_t taskId,
                                           simcore::SimTime now) {
   Entry& entry = row(id);
   ++stats_.failureNotices;
-  entry.trace.advanceTo(now);
+  entry.trace.advanceTo(now, scratch_.drain);
   entry.trace.remove(taskId);
   std::vector<PredictedRow>& pred = entry.predicted;
   auto it = std::lower_bound(
@@ -296,7 +311,7 @@ void HistoricalTraceManager::onTaskFailed(const std::string& server,
 
 void HistoricalTraceManager::onServerCollapsed(ServerId id, simcore::SimTime now) {
   Entry& entry = row(id);
-  entry.trace.advanceTo(now);
+  entry.trace.advanceTo(now, scratch_.drain);
   entry.trace.clear();
   entry.predicted.clear();
 }
@@ -309,13 +324,13 @@ void HistoricalTraceManager::onServerCollapsed(const std::string& server,
 std::map<std::uint64_t, simcore::SimTime> HistoricalTraceManager::predictedCompletions(
     const std::string& server, simcore::SimTime now) {
   Entry& entry = row(requireId(server));
-  entry.trace.advanceTo(now);
+  entry.trace.advanceTo(now, scratch_.drain);
   return entry.trace.predictCompletions();
 }
 
 GanttChart HistoricalTraceManager::gantt(const std::string& server, simcore::SimTime now) {
   Entry& entry = row(requireId(server));
-  entry.trace.advanceTo(now);
+  entry.trace.advanceTo(now, scratch_.drain);
   return entry.trace.simulateGantt();
 }
 

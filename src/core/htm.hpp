@@ -190,11 +190,13 @@ class HistoricalTraceManager {
     simcore::SimTime admitted = 0.0;
   };
 
-  /// Memo for the perturbation-free preview path. A preview is a pure
-  /// function of (trace state, now, adjusted dims, startDelay); the trace
-  /// version stands in for its state, so repeated previews of an unchanged
-  /// server - the common case inside a placement batch, where each decision
-  /// mutates exactly one trace - are answered without re-simulating.
+  /// Memo of the last preview of a row. A preview is a pure function of
+  /// (trace state, now, adjusted dims, startDelay); the trace version stands
+  /// in for its state, so repeated previews of an unchanged server - the
+  /// common case inside a placement batch, where each decision mutates
+  /// exactly one trace - are answered without re-simulating. A full preview
+  /// also leaves its post-admission drain here: committing the same mapping
+  /// drains exactly that state again, so commit takes the list instead.
   struct PreviewMemo {
     bool valid = false;
     std::uint64_t traceVersion = 0;
@@ -202,6 +204,25 @@ class HistoricalTraceManager {
     double startDelay = 0.0;
     TaskDims dims;  ///< adjusted dims (captures speedRatio changes)
     simcore::SimTime completionNew = 0.0;
+    /// Every completion with the hypothetical task admitted, sorted by task
+    /// id; empty unless a full preview filled it.
+    std::vector<PredictedEntry> after;
+
+    bool matches(std::uint64_t version, simcore::SimTime at, double delay,
+                 const TaskDims& adjusted) const {
+      return valid && traceVersion == version && now == at && startDelay == delay &&
+             dims.inMB == adjusted.inMB && dims.cpuSeconds == adjusted.cpuSeconds &&
+             dims.outMB == adjusted.outMB;
+    }
+    void remember(std::uint64_t version, simcore::SimTime at, double delay,
+                  const TaskDims& adjusted, simcore::SimTime completion) {
+      valid = true;
+      traceVersion = version;
+      now = at;
+      startDelay = delay;
+      dims = adjusted;
+      completionNew = completion;
+    }
   };
 
   struct Entry {
@@ -219,6 +240,7 @@ class HistoricalTraceManager {
     std::vector<TraceTask> work;
     std::vector<PredictedEntry> before;
     std::vector<PredictedEntry> after;
+    DrainScratch drain;
   };
 
   Entry& row(ServerId id);

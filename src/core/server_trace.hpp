@@ -5,8 +5,12 @@
 /// analytically: every admitted task moves through latency -> input transfer
 /// -> compute -> latency -> output transfer, transfers sharing the link and
 /// computes sharing the CPU in equal parts. With noise off, predictions match
-/// the ground-truth simulator to floating point (property-tested).
+/// the ground-truth simulator to floating point (property-tested). Every
+/// advance and prediction runs one event-driven drain that keeps a share
+/// clock per resource class, so each phase end costs a queue operation
+/// instead of a pass over every task in the trace.
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -60,6 +64,26 @@ struct PredictedEntry {
   simcore::SimTime completion = 0.0;
 };
 
+/// Reusable buffers of the equal-share drain: one queue of phase ends per
+/// resource class (fixed delay, input link, CPU, output link), ordered by
+/// share-clock tag. Owned by the caller - the HTM keeps one next to its
+/// preview buffers - so a warm drain never allocates; a default-constructed
+/// one serves a one-off call. Contents are meaningless between calls.
+struct DrainScratch {
+  struct Slot {
+    double tag = 0.0;         ///< class clock value at which the phase ends
+    std::uint32_t task = 0;   ///< index into the drained task vector
+  };
+  /// Live slots are [head, end), sorted by tag, soonest first: a phase end
+  /// leaves by advancing `head`, and a new tag, usually one of the latest,
+  /// lands near the end, so placing it shifts few slots.
+  struct Queue {
+    std::vector<Slot> slots;
+    std::size_t head = 0;
+  };
+  std::array<Queue, 4> queues;
+};
+
 /// Copyable per-server trace; copies are how hypothetical mappings are
 /// evaluated without disturbing the committed state.
 class ServerTrace {
@@ -78,7 +102,9 @@ class ServerTrace {
 
   /// Integrates the equal-share execution up to `to`; tasks reaching kDone
   /// are dropped from the trace (their completion date is the simulated one).
+  /// The scratch form reuses the caller's drain buffers.
   void advanceTo(simcore::SimTime to);
+  void advanceTo(simcore::SimTime to, DrainScratch& scratch);
 
   /// Admits a task at time `at` (>= now; the trace advances first). The task
   /// begins its input latency after `startDelay` more seconds (models the
@@ -100,27 +126,27 @@ class ServerTrace {
 
   // --- scratch-based prediction (the zero-allocation hot path) ---
   // These operate on caller-owned vectors whose capacity is retained across
-  // calls, so a warm caller predicts without touching the heap. They perform
-  // exactly the arithmetic of the copy + advanceTo + predictCompletions path
-  // above, in the same order, so results are bit-identical.
+  // calls, so a warm caller predicts without touching the heap. They run the
+  // same drain as advanceTo and predictCompletions, so a scratch-path result
+  // equals the copy-path result for the same state.
 
   /// Copies the live task list into `tasks` (capacity reused) and advances
   /// the copy to `to`; `*t` receives the copy's clock (max(now(), to)).
   void copyAdvanced(std::vector<TraceTask>& tasks, simcore::SimTime* t,
-                    simcore::SimTime to) const;
+                    simcore::SimTime to, DrainScratch& scratch) const;
 
-  /// Steps `tasks` (consumed) from `t` to completion, appending one
+  /// Drains `tasks` (consumed) from `t` to completion, appending one
   /// {taskId, completion} per task to `out` in completion order.
   void completeInto(std::vector<TraceTask>& tasks, simcore::SimTime t,
-                    std::vector<PredictedEntry>& out) const;
+                    std::vector<PredictedEntry>& out, DrainScratch& scratch) const;
 
-  /// Steps `tasks` (consumed) from `t` only until `taskId` completes and
+  /// Drains `tasks` (consumed) from `t` only until `taskId` completes and
   /// returns its completion date (infinity when the task is absent). The
-  /// simulation prefix is identical to completeInto's, so the returned date
-  /// is bit-identical - this is the fast path for heuristics that need the
-  /// new task's completion but no perturbations (HMCT).
+  /// drain prefix is identical to completeInto's, so the returned date is
+  /// bit-identical - this is the fast path for heuristics that need the new
+  /// task's completion but no perturbations (HMCT).
   simcore::SimTime completeOne(std::vector<TraceTask>& tasks, simcore::SimTime t,
-                               std::uint64_t taskId) const;
+                               std::uint64_t taskId, DrainScratch& scratch) const;
 
   /// Builds the TraceTask admit() would append for these parameters when the
   /// trace clock already sits at the admit instant. Returns false for the
@@ -128,16 +154,9 @@ class ServerTrace {
   bool buildAdmitted(std::uint64_t taskId, const TaskDims& dims, simcore::SimTime at,
                      double startDelay, TraceTask* out) const;
 
-  /// Completion date the trace would assign to `taskId`; infinity when the
-  /// task is not present.
-  simcore::SimTime predictCompletion(std::uint64_t taskId) const;
-
   /// Full Gantt chart of the remaining execution (paper figure 1): one
   /// segment per (task, constant-share interval).
   GanttChart simulateGantt() const;
-
-  /// Remaining work summary used by schedulers' diagnostics.
-  double totalRemainingCpuSeconds() const;
 
   /// Live task list in admission order (snapshot/persistence read access).
   const std::vector<TraceTask>& tasks() const { return tasks_; }
@@ -147,23 +166,20 @@ class ServerTrace {
   void restore(std::vector<TraceTask> tasks, simcore::SimTime now);
 
  private:
-  /// Advances `tasks` in place from `*t` until `bound` (or until drained),
-  /// invoking `onDone(task, when)` at completions and `onSegment(task, t0,
-  /// t1, share)` for every constant-rate interval. Callbacks are passed as
-  /// concrete lambdas or nullptr so every call site inlines fully (the
-  /// preview path runs this thousands of times per scheduling decision).
-  /// When `stopTaskId` is non-null the loop returns right after that task
-  /// completes, with its completion date in `*stopCompletion`.
+  /// The equal-share drain. Advances `tasks` in place from `*t` until `bound`
+  /// (or until drained), invoking `onDone(task, when)` at completions and
+  /// `onSegment(task, t0, t1, share)` for every constant-share interval.
+  /// Callbacks are passed as concrete lambdas or nullptr so every call site
+  /// inlines fully. When `stopTaskId` is non-null the drain returns right
+  /// after that task completes, with its completion date in
+  /// `*stopCompletion`, leaving `tasks` consumed.
   template <class DoneF, class SegF>
-  void stepCore(std::vector<TraceTask>& tasks, simcore::SimTime* t,
-                simcore::SimTime bound, DoneF&& onDone, SegF&& onSegment,
-                const std::uint64_t* stopTaskId,
-                simcore::SimTime* stopCompletion) const;
+  void drain(std::vector<TraceTask>& tasks, simcore::SimTime* t, simcore::SimTime bound,
+             DrainScratch& scratch, DoneF&& onDone, SegF&& onSegment,
+             const std::uint64_t* stopTaskId, simcore::SimTime* stopCompletion) const;
 
   double phaseAmount(const TraceTask& task, TracePhase phase) const;
   void enterNextPhase(TraceTask& task) const;
-  double phaseRate(TracePhase phase, std::size_t inCount, std::size_t cpuCount,
-                   std::size_t outCount) const;
 
   ServerModel model_;
   std::vector<TraceTask> tasks_;  // admission order (stable, deterministic)

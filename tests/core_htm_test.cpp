@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <random>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -59,6 +62,52 @@ TEST(Htm, CommitThenPerturbationOnPreview) {
   EXPECT_EQ(p.perTask[0].taskId, 1u);
   EXPECT_NEAR(p.perTask[0].delta, 10.0, 1e-9);
   EXPECT_NEAR(p.completionNew, 20.0, 1e-9);
+}
+
+TEST(Htm, CommitAfterFullPreviewIsBitIdenticalToFreshDrain) {
+  // Two HTMs see the same mappings and notices. `warm` previews each mapping
+  // in full first, so its commit takes the preview's drain whenever the key
+  // still matches; `cold` never previews, so every commit drains afresh.
+  // Stale previews (other dims, a later clock, a notice in between) mix in
+  // to exercise the fall-back. Task ids arrive out of order, so a committed
+  // id is not always the largest. Every prediction must agree bit for bit.
+  std::mt19937_64 rng(11);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  std::vector<std::uint64_t> ids(300);
+  for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = 1000 + i;
+  std::shuffle(ids.begin(), ids.end(), rng);
+  HistoricalTraceManager warm, cold;
+  const ServerModel m{"a", 7.0, 13.0, 0.3, 0.2};
+  warm.addServer(m);
+  cold.addServer(m);
+  double now = 0.0;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const std::uint64_t id = ids[i];
+    now += 0.5 * u(rng);
+    const TaskDims dims{20.0 * u(rng), 50.0 * u(rng), 10.0 * u(rng)};
+    const double delay = u(rng) < 0.5 ? 0.0 : 0.1 * u(rng);
+    const double roll = u(rng);
+    const Preview p = warm.preview("a", roll < 0.1 ? compute(1.0) : dims,
+                                   roll < 0.2 ? now - 0.1 : now, delay);
+    if (roll > 0.9 && i >= 10) {
+      warm.onTaskCompleted("a", ids[i - 10], now);
+      cold.onTaskCompleted("a", ids[i - 10], now);
+    }
+    const double reused = warm.commit("a", id, dims, now, delay);
+    EXPECT_EQ(reused, cold.commit("a", id, dims, now, delay)) << "task " << id;
+    if (roll >= 0.2 && roll <= 0.9) {
+      EXPECT_EQ(reused, p.completionNew) << "task " << id;
+    }
+  }
+  // The error statistics sum every task's committed prediction.
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    warm.onTaskCompleted("a", ids[i], now + static_cast<double>(i));
+    cold.onTaskCompleted("a", ids[i], now + static_cast<double>(i));
+  }
+  EXPECT_GT(warm.stats().errorSamples, 200u);
+  EXPECT_EQ(warm.stats().errorSamples, cold.stats().errorSamples);
+  EXPECT_EQ(warm.stats().absErrorSum, cold.stats().absErrorSum);
+  EXPECT_EQ(warm.stats().relErrorSum, cold.stats().relErrorSum);
 }
 
 TEST(Htm, PaperSection23UsefulnessExample) {
