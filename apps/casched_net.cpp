@@ -83,7 +83,6 @@ int runAgent(int argc, const char* const* argv) {
   args.addString("htm-sync", "drop-on-notice", "HTM sync policy");
   args.addBool("paper-costs", false, "preload the paper's calibrated cost tables");
   args.addString("name", "agent-0", "agent name announced to peers (unique)");
-  args.addString("mode", "replicated", "replication mode: replicated | partitioned");
   args.addString("peers", "",
                  "comma-separated peer agents to dial, host:port each");
   args.addDouble("sync-period", 5.0,
@@ -103,7 +102,6 @@ int runAgent(int argc, const char* const* argv) {
   config.heartbeatTimeout = args.getDouble("heartbeat-timeout");
   if (args.getBool("paper-costs")) config.costs = platform::paperCostModel();
   config.agentName = args.getString("name");
-  config.mode = net::parseAgentMode(args.getString("mode"));
   config.syncPeriod = args.getDouble("sync-period");
   config.snapshotPath = args.getString("snapshot");
   if (!args.getString("peers").empty()) {
@@ -114,8 +112,7 @@ int runAgent(int argc, const char* const* argv) {
 
   net::AgentDaemon daemon(std::move(config), net::PacedClock(args.getDouble("scale")));
   std::cout << "agent " << args.getString("name") << " ("
-            << args.getString("heuristic") << ", " << args.getString("mode")
-            << ") listening on 127.0.0.1:" << daemon.port();
+            << args.getString("heuristic") << ") listening on 127.0.0.1:" << daemon.port();
   if (daemon.warmStartedRows() > 0) {
     std::cout << ", warm-started " << daemon.warmStartedRows() << " HTM rows";
   }
@@ -146,7 +143,7 @@ int runServer(int argc, const char* const* argv) {
 
   net::NetServerConfig config;
   config.agentHost = args.getString("agent-host");
-  config.agentPort = port;
+  config.agentPorts = {port};
   config.machine.name = args.getString("name");
   config.machine.bwInMBps = args.getDouble("bw");
   config.machine.bwOutMBps = args.getDouble("bw");
@@ -155,7 +152,7 @@ int runServer(int argc, const char* const* argv) {
   config.machine.ramMB = args.getDouble("ram");
   config.machine.swapMB = args.getDouble("swap");
   config.speedIndex = args.getDouble("speed");
-  config.reportPeriod = args.getDouble("report-period");
+  config.node.reportPeriod = args.getDouble("report-period");
   config.heartbeatPeriod = args.getDouble("heartbeat-period");
 
   net::NetServerDaemon daemon(std::move(config), net::PacedClock(args.getDouble("scale")));

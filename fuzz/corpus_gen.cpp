@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
   frame("task_failed", MessageType::kTaskFailed,
         encode(TaskFailedMsg{42, "artimon", "collapse"}));
   frame("load_report", MessageType::kLoadReport,
-        encode(LoadReportMsg{"artimon", 1.5, 60.0, 384.0}));
+        encode(LoadReportMsg{"artimon", 1.5, 60.0}));
   frame("server_down", MessageType::kServerDown, encode(ServerDownMsg{"artimon"}));
   frame("server_up", MessageType::kServerUp, encode(ServerUpMsg{"artimon"}));
   frame("shutdown", MessageType::kShutdown, encode(ShutdownMsg{"operator request"}));
@@ -98,7 +98,6 @@ int main(int argc, char** argv) {
 
   AgentHelloMsg hello;
   hello.agentName = "agent-1";
-  hello.mode = "partitioned";
   hello.sampleTime = 5.0;
   hello.ownedServers = {"artimon", "spinnaker"};
   hello.listenPort = 45123;

@@ -1,7 +1,7 @@
 #pragma once
 /// \file dispatch.hpp
 /// Where the agent sends accepted work. The simulation wires the agent
-/// directly to in-process ServerDaemon objects; the distributed runtime
+/// directly to in-process ServerNode objects; the distributed runtime
 /// (src/net) substitutes links that encode the submission as a kTaskSubmit
 /// wire message. The agent itself never knows the difference.
 

@@ -62,6 +62,9 @@ GridSystem::GridSystem(const platform::Testbed& testbed,
         sim_, core::makeScheduler(schedulerName, config_.schedulerSeed), testbed.costs,
         agentConfig);
     node.agent->setExpectedTasks(metatask_.size());
+    node.relay.sim = &sim_;
+    node.relay.agent = node.agent.get();
+    node.relay.latency = config_.controlLatency;
     node.agent->setTaskTerminalObserver([this, i](const metrics::TaskOutcome& outcome) {
       if (nodes_[i].mesh) relayTerminal(i, outcome.index);
       onTerminal();
@@ -76,48 +79,80 @@ GridSystem::GridSystem(const platform::Testbed& testbed,
   }
 
   if (!mesh_.enabled) {
-    for (const psched::MachineSpec& spec : testbed.servers) addServer(nodes_[0], spec);
+    for (std::size_t s = 0; s < testbed.servers.size(); ++s) {
+      addServer(nodes_[0], testbed.servers[s], s);
+    }
     return;
   }
   // Home each server on its rack owner (compileScenario validated total
   // disjoint coverage, so every server lands exactly once).
   for (const scenario::RackSpec& rack : mesh_.racks) {
     for (const std::size_t serverIndex : rack.servers) {
-      addServer(nodes_[rack.agentIndex], testbed.servers.at(serverIndex));
+      addServer(nodes_[rack.agentIndex], testbed.servers.at(serverIndex), serverIndex);
     }
   }
 }
 
-void GridSystem::addServer(Node& node, const psched::MachineSpec& spec) {
-  ServerDaemonConfig daemonConfig;
-  daemonConfig.reportPeriod = config_.reportPeriod;
-  daemonConfig.controlLatency = config_.controlLatency;
-  daemonConfig.cpuNoise = config_.cpuNoise;
-  daemonConfig.linkNoise = config_.linkNoise;
-  daemonConfig.noiseSeed = simcore::deriveSeed(config_.noiseSeed, nextNoiseStream_++);
-  auto daemon = std::make_unique<ServerDaemon>(sim_, spec,
-                                               std::vector<std::string>{"*"},
-                                               daemonConfig);
+ServerNodeConfig serverNodeConfig(const SystemConfig& config, std::size_t index) {
+  ServerNodeConfig node;
+  node.reportPeriod = config.reportPeriod;
+  node.cpuNoise = config.cpuNoise;
+  node.linkNoise = config.linkNoise;
+  node.noiseSeed = simcore::deriveSeed(config.noiseSeed, index);
+  return node;
+}
 
+void GridSystem::AgentRelay::completed(const std::string& server, std::uint64_t taskId,
+                                       simcore::SimTime completion, double unloaded) {
+  sim->scheduleAfter(latency, [a = agent, server, taskId, completion, unloaded] {
+    a->onTaskCompleted(server, taskId, completion, unloaded);
+  });
+}
+
+void GridSystem::AgentRelay::failed(const std::string& server, std::uint64_t taskId,
+                                    std::string_view /*reason*/) {
+  sim->scheduleAfter(latency,
+                     [a = agent, server, taskId] { a->onTaskFailed(server, taskId); });
+}
+
+void GridSystem::AgentRelay::loadReport(const std::string& server, double load,
+                                        simcore::SimTime sampleTime) {
+  sim->scheduleAfter(latency, [a = agent, server, load, sampleTime] {
+    a->onLoadReport(server, load, sampleTime);
+  });
+}
+
+void GridSystem::AgentRelay::down(const std::string& server) {
+  sim->scheduleAfter(latency, [a = agent, server] { a->onServerDown(server); });
+}
+
+void GridSystem::AgentRelay::up(const std::string& server) {
+  sim->scheduleAfter(latency, [a = agent, server] { a->onServerUp(server); });
+}
+
+void GridSystem::addServer(Node& node, const psched::MachineSpec& spec,
+                           std::size_t index) {
+  auto server = std::make_unique<ServerNode>(sim_, spec, serverNodeConfig(config_, index),
+                                             node.relay);
   core::ServerModel model;
   model.name = spec.name;
   model.bwInMBps = spec.bwInMBps;
   model.bwOutMBps = spec.bwOutMBps;
   model.latencyIn = spec.latencyIn;
   model.latencyOut = spec.latencyOut;
-  node.agent->registerServer(daemon.get(), model, {"*"}, spec.ramMB,
+  node.agent->registerServer(server.get(), model, {"*"}, spec.ramMB,
                              spec.ramMB + spec.swapMB);
-  daemon->connectAgent(node.agent.get());
-  node.daemons.push_back(std::move(daemon));
+  server->start();
+  node.servers.push_back(std::move(server));
 }
 
-ServerDaemon& GridSystem::daemon(const std::string& name) {
+ServerNode& GridSystem::server(const std::string& name) {
   for (Node& node : nodes_) {
-    for (auto& d : node.daemons) {
-      if (d->name() == name) return *d;
+    for (auto& s : node.servers) {
+      if (s->name() == name) return *s;
     }
   }
-  throw util::Error("unknown daemon '" + name + "'");
+  throw util::Error("unknown server '" + name + "'");
 }
 
 void GridSystem::setChurnTimeline(std::vector<ChurnEvent> events) {
@@ -138,14 +173,14 @@ void GridSystem::applyChurn(const ChurnEvent& event) {
       psched::MachineSpec spec = event.joinSpec;
       spec.name = event.server;
       agent().setServerSpeedIndex(event.server, event.speedIndex);
-      addServer(nodes_.front(), spec);
+      addServer(nodes_.front(), spec, nodes_.front().servers.size());
       ++churnStats_.joins;
       return;
     }
     case ChurnAction::kLeave: {
-      ServerDaemon& d = daemon(event.server);
+      ServerNode& s = server(event.server);
       agent().deregisterServer(event.server);
-      d.quiesce();  // stop load reports; in-flight tasks drain on the machine
+      s.quiesce();  // stop load reports and noise; in-flight tasks drain
       ++churnStats_.leaves;
       return;
     }
@@ -154,18 +189,18 @@ void GridSystem::applyChurn(const ChurnEvent& event) {
       // (fault tolerance re-submits elsewhere) and the machine recovers after
       // the event's downtime (0 = the machine's own recovery time). A crash
       // on an already-down machine is a no-op and is not counted.
-      if (daemon(event.server).machine().forceCollapse(event.duration)) {
+      if (server(event.server).crash(event.duration)) {
         ++churnStats_.crashes;
       }
       return;
     }
     case ChurnAction::kSlowdown: {
-      daemon(event.server).machine().setChurnSpeedFactor(event.factor, event.duration);
+      server(event.server).setSpeedFactor(event.factor, event.duration);
       ++churnStats_.slowdowns;
       return;
     }
     case ChurnAction::kLink: {
-      daemon(event.server).machine().setChurnLinkFactor(event.factor, event.duration);
+      server(event.server).setLinkFactor(event.factor, event.duration);
       ++churnStats_.links;
       return;
     }
@@ -335,7 +370,7 @@ metrics::RunResult GridSystem::run() {
                                          << " unfinished tasks");
   }
   for (Node& node : nodes_) {
-    for (auto& d : node.daemons) d->quiesce();
+    for (auto& s : node.servers) s->quiesce();
   }
   return buildResult();
 }
@@ -389,16 +424,16 @@ metrics::RunResult GridSystem::buildResult() {
       errorSum += node.agent->htm().stats().meanRelErrorPercent() * decisions;
       errorWeight += decisions;
     }
-    for (const auto& d : node.daemons) {
-      const psched::MachineStats& ms = d->machine().stats();
+    for (const auto& server : node.servers) {
+      const psched::MachineStats& ms = server->machine().stats();
       metrics::ServerSummary s;
       s.tasksCompleted = ms.completed;
       s.tasksFailed = ms.failed;
       s.collapses = ms.collapses;
       s.peakResidentMB = ms.peakResidentMB;
       s.busySeconds = ms.busyCpuSeconds;
-      s.peakLoadReported = node.agent->peakReportedLoad(d->name());
-      result.servers.emplace(d->name(), s);
+      s.peakLoadReported = node.agent->peakReportedLoad(server->name());
+      result.servers.emplace(server->name(), s);
     }
   }
   if (nodes_.size() == 1) {

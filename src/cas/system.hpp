@@ -1,8 +1,8 @@
 #pragma once
 /// \file system.hpp
-/// The simulated system: builds the simulator, machines, server daemons and
-/// agents for one experiment, submits the metatask the way the paper's client
-/// does, runs it to completion, and returns the metrics-ready RunResult.
+/// The simulated system: builds the simulator, server nodes and agents for
+/// one experiment, submits the metatask the way the paper's client does, runs
+/// it to completion, and returns the metrics-ready RunResult.
 ///
 /// The paper's model is its one-node case: one agent owning every server.
 /// A scenario with an enabled [mesh] section adds agent nodes, each owning a
@@ -22,7 +22,7 @@
 
 #include "cas/agent.hpp"
 #include "cas/churn.hpp"
-#include "cas/server_daemon.hpp"
+#include "cas/server_node.hpp"
 #include "mesh/agent_node.hpp"
 #include "metrics/record.hpp"
 #include "platform/testbed.hpp"
@@ -50,6 +50,11 @@ struct SystemConfig {
   /// Hard stop: no experiment should ever reach this.
   double horizon = 5.0e6;
 };
+
+/// Node settings of the `index`-th server a run starts: its testbed position,
+/// joiners numbered after the testbed. The simulator and the live loopback
+/// harness both call this, so one seed gives each server one noise stream.
+ServerNodeConfig serverNodeConfig(const SystemConfig& config, std::size_t index);
 
 /// Owns every simulation object of one experiment run.
 class GridSystem {
@@ -81,17 +86,35 @@ class GridSystem {
   /// The first node's agent (the only one outside a mesh).
   Agent& agent() { return *nodes_.front().agent; }
   simcore::Simulator& simulator() { return sim_; }
+  ServerNode& server(const std::string& name);
 
  private:
-  /// One agent + the server daemons it owns + its mesh node (mesh only).
+  /// A server's sink: each output reaches the owning agent one control
+  /// latency later, as its message would.
+  struct AgentRelay final : ServerSink {
+    simcore::Simulator* sim = nullptr;
+    Agent* agent = nullptr;
+    double latency = 0.0;
+    void completed(const std::string& server, std::uint64_t taskId,
+                   simcore::SimTime completion, double unloadedDuration) override;
+    void failed(const std::string& server, std::uint64_t taskId,
+                std::string_view reason) override;
+    void loadReport(const std::string& server, double load,
+                    simcore::SimTime sampleTime) override;
+    void down(const std::string& server) override;
+    void up(const std::string& server) override;
+  };
+
+  /// One agent + the server nodes it owns + its mesh node (mesh only).
   struct Node {
     std::unique_ptr<Agent> agent;
-    std::vector<std::unique_ptr<ServerDaemon>> daemons;
+    AgentRelay relay;
+    std::vector<std::unique_ptr<ServerNode>> servers;
     std::optional<mesh::AgentNode> mesh;
   };
 
-  void addServer(Node& node, const psched::MachineSpec& spec);
-  ServerDaemon& daemon(const std::string& name);
+  /// `index` numbers the server as serverNodeConfig does.
+  void addServer(Node& node, const psched::MachineSpec& spec, std::size_t index);
   void applyChurn(const ChurnEvent& event);
   void submitMetatask();
   void onRequest(std::size_t self, const workload::TaskInstance& task,
@@ -110,14 +133,14 @@ class GridSystem {
   std::string schedulerName_;
   SystemConfig config_;
   scenario::MeshSpec mesh_;
-  /// Sized once in the constructor; never grows (observers hold indices).
+  /// Sized once in the constructor; never grows (observers hold indices,
+  /// server nodes hold their node's relay).
   std::vector<Node> nodes_;
   /// Tasks denied by the router: terminal without ever reaching an agent.
   std::vector<metrics::TaskOutcome> denied_;
   std::vector<ChurnEvent> timeline_;
   metrics::ChurnSummary churnStats_;
   std::size_t terminal_ = 0;
-  std::uint64_t nextNoiseStream_ = 0;  ///< per-server noise-seed derivation
 };
 
 /// One-shot: build + run. With an enabled `mesh` the run is the multi-agent

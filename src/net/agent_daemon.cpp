@@ -8,28 +8,11 @@
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
-#include "util/strings.hpp"
 
 #undef CASCHED_LOG_COMPONENT
 #define CASCHED_LOG_COMPONENT "net.agent"
 
 namespace casched::net {
-
-AgentMode parseAgentMode(const std::string& name) {
-  const std::string n = util::toLower(name);
-  if (n == "replicated") return AgentMode::kReplicated;
-  if (n == "partitioned") return AgentMode::kPartitioned;
-  throw util::ConfigError("unknown agent mode '" + name +
-                          "' (want replicated | partitioned)");
-}
-
-std::string agentModeName(AgentMode mode) {
-  switch (mode) {
-    case AgentMode::kReplicated: return "replicated";
-    case AgentMode::kPartitioned: return "partitioned";
-  }
-  return "?";
-}
 
 workload::TaskInstance taskFromRequest(const wire::ScheduleRequestMsg& msg, double arrival) {
   workload::TaskInstance task;
@@ -270,7 +253,6 @@ void AgentDaemon::sendHello(PeerEntry& peer) {
   if (!peer.transport || peer.transport->closed()) return;
   wire::AgentHelloMsg hello;
   hello.agentName = config_.agentName;
-  hello.mode = agentModeName(config_.mode);
   hello.sampleTime = sim_.now();
   for (const auto& [name, entry] : servers_) {
     if (!entry.retired) hello.ownedServers.push_back(name);
@@ -459,8 +441,7 @@ void AgentDaemon::onAgentHello(const std::shared_ptr<wire::TcpTransport>& transp
   }
 
   LOG_INFO("agent " << config_.agentName << ": peer " << msg.agentName << " ("
-                    << msg.mode << ", " << msg.ownedServers.size()
-                    << " servers) connected");
+                    << msg.ownedServers.size() << " servers) connected");
   // Answer an inbound hello with our own so the dialer learns our name.
   if (!entry->helloSent) sendHello(*entry);
 }

@@ -53,20 +53,6 @@
 
 namespace casched::net {
 
-/// How a multi-agent deployment divides the server registry.
-enum class AgentMode : std::uint8_t {
-  /// Every agent can serve the full registry; snapshot sync keeps replicas
-  /// warm so servers and clients can fail over to any of them.
-  kReplicated,
-  /// Each agent owns the servers that registered with it; clients spread
-  /// their tasks across the agents. Load digests give each agent a read-only
-  /// view of the partitions it does not own.
-  kPartitioned,
-};
-
-AgentMode parseAgentMode(const std::string& name);
-std::string agentModeName(AgentMode mode);
-
 struct AgentDaemonConfig {
   /// Listening port on 127.0.0.1; 0 picks a free port (see port()).
   std::uint16_t port = 0;
@@ -90,7 +76,6 @@ struct AgentDaemonConfig {
   // --- replication (multi-agent deployments) ---
   /// Name announced in kAgentHello; must be unique across the deployment.
   std::string agentName = "agent-0";
-  AgentMode mode = AgentMode::kReplicated;
   /// Peer agents to dial, as "host:port". Dropped links are re-dialed every
   /// `peerRedialPeriod`; peers may also dial in (kAgentHello identifies them).
   std::vector<std::string> peers;

@@ -13,7 +13,6 @@
 #include "mesh/router.hpp"
 #include "net/agent_daemon.hpp"
 #include "net/client_driver.hpp"
-#include "net/server_daemon.hpp"
 #include "scenario/generate.hpp"
 #include "scenario/registry.hpp"
 #include "util/error.hpp"
@@ -24,19 +23,6 @@
 namespace casched::net {
 
 namespace {
-
-NetServerConfig serverConfig(const psched::MachineSpec& spec, double speedIndex,
-                             std::vector<std::uint16_t> agentPorts,
-                             const cas::SystemConfig& system, double heartbeatPeriod) {
-  NetServerConfig config;
-  config.agentPorts = std::move(agentPorts);
-  config.agentPort = config.agentPorts.front();
-  config.machine = spec;
-  config.speedIndex = speedIndex;
-  config.reportPeriod = system.reportPeriod;
-  config.heartbeatPeriod = heartbeatPeriod;
-  return config;
-}
 
 /// Derived missed-report deadline: generous against the report period AND
 /// against pump stalls. The daemons here share one cooperative thread, so the
@@ -155,7 +141,7 @@ class LiveChurnDriver {
         return;
       case cas::ChurnAction::kSlowdown:
         if (NetServerDaemon* d = daemonByName_(event.server)) {
-          d->setSpeedFactor(event.factor, event.duration);
+          d->node().setSpeedFactor(event.factor, event.duration);
           ++report_.churnApplied.slowdowns;
         } else {
           ++report_.churnSkipped;
@@ -163,7 +149,7 @@ class LiveChurnDriver {
         return;
       case cas::ChurnAction::kLink:
         if (NetServerDaemon* d = daemonByName_(event.server)) {
-          d->setLinkFactor(event.factor, event.duration);
+          d->node().setLinkFactor(event.factor, event.duration);
           ++report_.churnApplied.links;
         } else {
           ++report_.churnSkipped;
@@ -206,7 +192,6 @@ LiveRunReport runDeployment(const scenario::CompiledScenario& compiled,
     AgentSlot& slot = slots[i];
     slot.config = baseAgentConfig(compiled, options);
     slot.config.agentName = util::strformat("agent-%zu", i);
-    slot.config.mode = parseAgentMode(spec.mode);
     slot.config.syncPeriod = spec.syncPeriod;
     if (replicas) {
       slot.config.snapshotPath = (snapshotDir / (slot.config.agentName + ".htmsnap")).string();
@@ -227,7 +212,7 @@ LiveRunReport runDeployment(const scenario::CompiledScenario& compiled,
     }
   }
 
-  const bool partitioned = parseAgentMode(spec.mode) == AgentMode::kPartitioned;
+  const bool partitioned = spec.mode == "partitioned";
   // Mesh deployments home each server on its rack's owner (the simulator uses
   // the same assignment); otherwise partitioned mode round-robins by index.
   std::vector<std::size_t> rackOwner;
@@ -249,13 +234,14 @@ LiveRunReport runDeployment(const scenario::CompiledScenario& compiled,
   };
 
   std::vector<std::unique_ptr<NetServerDaemon>> servers;
-  std::size_t serverCounter = 0;
   const auto startServer = [&](const psched::MachineSpec& machineSpec,
                                double speedIndex) {
-    auto daemon = std::make_unique<NetServerDaemon>(
-        serverConfig(machineSpec, speedIndex, portsFor(serverCounter++),
-                     compiled.system, options.heartbeatPeriod),
-        clock);
+    const std::size_t index = servers.size();
+    NetServerConfig config =
+        loopbackServerConfig(compiled.system, index, machineSpec, speedIndex);
+    config.agentPorts = portsFor(index);
+    config.heartbeatPeriod = options.heartbeatPeriod;
+    auto daemon = std::make_unique<NetServerDaemon>(std::move(config), clock);
     daemon->connect();
     servers.push_back(std::move(daemon));
   };
@@ -422,6 +408,15 @@ LiveRunReport runDeployment(const scenario::CompiledScenario& compiled,
 }
 
 }  // namespace
+
+NetServerConfig loopbackServerConfig(const cas::SystemConfig& system, std::size_t index,
+                                     const psched::MachineSpec& spec, double speedIndex) {
+  NetServerConfig config;
+  config.machine = spec;
+  config.speedIndex = speedIndex;
+  config.node = cas::serverNodeConfig(system, index);
+  return config;
+}
 
 std::uint64_t countResubmissions(const std::vector<metrics::TaskOutcome>& outcomes) {
   std::uint64_t n = 0;

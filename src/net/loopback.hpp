@@ -25,7 +25,9 @@
 #include <string>
 #include <vector>
 
+#include "cas/system.hpp"
 #include "metrics/record.hpp"
+#include "net/server_daemon.hpp"
 #include "scenario/faults.hpp"
 #include "scenario/spec.hpp"
 
@@ -124,6 +126,15 @@ struct LiveRunReport {
   /// kScheduleDeny notices the client received.
   std::uint64_t clientDenies = 0;
 };
+
+/// What the harness sets up for the `index`-th server daemon it starts
+/// (testbed order, then joiners): `spec`, its speed index, and the scenario's
+/// report period and noise from cas::serverNodeConfig, which numbers the
+/// simulator's servers the same way - so each live server draws the noise
+/// factors of its simulated twin. Agent ports and heartbeats are added by the
+/// harness.
+NetServerConfig loopbackServerConfig(const cas::SystemConfig& system, std::size_t index,
+                                     const psched::MachineSpec& spec, double speedIndex);
 
 /// Extra attempts past the first across a run's outcomes - the common
 /// resubmission count for live reports and simulator RunResults.

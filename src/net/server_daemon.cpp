@@ -4,7 +4,6 @@
 
 #include "net/turn_wait.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 
@@ -31,40 +30,26 @@ obs::Histogram& heartbeatRttHistogram() {
 }  // namespace
 
 NetServerDaemon::NetServerDaemon(NetServerConfig config, PacedClock clock)
-    : config_(std::move(config)), clock_(clock), machine_(sim_, config_.machine) {
-  CASCHED_CHECK(config_.reportPeriod > 0.0, "report period must be positive");
+    : config_(std::move(config)),
+      clock_(clock),
+      node_(sim_, config_.machine, config_.node, *this) {
+  CASCHED_CHECK(!config_.agentPorts.empty(), "server needs an agent port");
   CASCHED_CHECK(config_.heartbeatPeriod > 0.0, "heartbeat period must be positive");
-  machine_.setCollapseObserver([this](const std::vector<psched::ExecRecord>& victims) {
-    wire::ServerDownMsg down;
-    down.serverName = name();
-    send(wire::MessageType::kServerDown, wire::encode(down));
-    for (const psched::ExecRecord& rec : victims) {
-      sendTaskFailed(rec.request.taskId, "server collapsed");
-    }
-  });
-  machine_.setRecoverObserver([this] {
-    wire::ServerUpMsg up;
-    up.serverName = name();
-    send(wire::MessageType::kServerUp, wire::encode(up));
-  });
 }
 
 NetServerDaemon::~NetServerDaemon() = default;
 
 void NetServerDaemon::connect() {
   dial();
-  if (!timersStarted_) {
-    timersStarted_ = true;
-    scheduleReportTimer();
-    scheduleHeartbeatTimer();
+  if (!started_) {
+    started_ = true;
+    node_.start();
+    sim_.scheduleAfter(config_.heartbeatPeriod, [this] { sendHeartbeat(); });
   }
 }
 
 void NetServerDaemon::dial() {
-  const std::uint16_t port =
-      config_.agentPorts.empty()
-          ? config_.agentPort
-          : config_.agentPorts[dialIndex_ % config_.agentPorts.size()];
+  const std::uint16_t port = config_.agentPorts[dialIndex_ % config_.agentPorts.size()];
   transport_ = wire::TcpTransport::connect(config_.agentHost, port);
   registered_ = false;
   sendRegistration();
@@ -113,7 +98,7 @@ void NetServerDaemon::runOnce() {
     }
   }
   if (leaving_) {
-    if (machine_.activeTasks() != 0) {
+    if (activeTasks() != 0) {
       leaveIdleSince_ = -1.0;
     } else if (leaveIdleSince_ < 0.0) {
       leaveIdleSince_ = sim_.now();
@@ -163,9 +148,12 @@ void NetServerDaemon::handleFrame(const wire::Frame& frame) {
       if (ack.agentTime > sim_.now()) clock_.resyncTo(ack.agentTime);
       return;
     }
-    case MessageType::kTaskSubmit:
-      onTaskSubmit(wire::decodeTaskSubmit(frame.payload));
+    case MessageType::kTaskSubmit: {
+      const wire::TaskSubmitMsg msg = wire::decodeTaskSubmit(frame.payload);
+      node_.submitTask(msg.taskId,
+                       {msg.taskId, msg.inMB, msg.cpuSeconds, msg.outMB, msg.memMB});
       return;
+    }
     case MessageType::kShutdown:
       shutdownRequested_ = true;
       return;
@@ -186,79 +174,48 @@ void NetServerDaemon::handleFrame(const wire::Frame& frame) {
   }
 }
 
-void NetServerDaemon::onTaskSubmit(const wire::TaskSubmitMsg& msg) {
-  if (!machine_.up()) {
-    sendTaskFailed(msg.taskId, "server down");
-    return;
-  }
-  psched::ExecRequest request;
-  request.taskId = msg.taskId;
-  request.inMB = msg.inMB;
-  request.cpuSeconds = msg.cpuSeconds;
-  request.outMB = msg.outMB;
-  request.memMB = msg.memMB;
-  obs::TraceBuffer& trace = obs::TraceBuffer::global();
-  const bool accepted = machine_.submit(request, [this](const psched::ExecRecord& rec) {
-    if (rec.status != psched::ExecStatus::kCompleted) return;  // collapse observer reports
-    wire::TaskCompleteMsg done;
-    done.taskId = rec.request.taskId;
-    done.serverName = name();
-    done.completionTime = rec.endTime;
-    done.unloadedDuration = machine_.unloadedDuration(rec.request);
-    send(wire::MessageType::kTaskComplete, wire::encode(done));
-  });
-  if (!accepted) {
-    // Machine went down or this admission collapsed it; the submitting task
-    // is lost (collapse victims are reported by the collapse observer).
-    sendTaskFailed(msg.taskId, "submission rejected");
-    return;
-  }
-  if (trace.enabled()) {
-    // Mirrors the sim-side hook in cas::ServerDaemon::submitTask, so live and
-    // simulated runs produce the same per-task span chain.
-    trace.push({msg.taskId, obs::TaskPhase::kStart, sim_.now(), 0.0, 0, name(), ""});
-  }
+void NetServerDaemon::completed(const std::string& server, std::uint64_t taskId,
+                                simcore::SimTime completion, double unloadedDuration) {
+  wire::TaskCompleteMsg done;
+  done.taskId = taskId;
+  done.serverName = server;
+  done.completionTime = completion;
+  done.unloadedDuration = unloadedDuration;
+  send(wire::MessageType::kTaskComplete, wire::encode(done));
 }
 
-void NetServerDaemon::sendLoadReport() {
-  reportTimer_ = {};
-  if (machine_.up()) {
-    wire::LoadReportMsg report;
-    report.serverName = name();
-    report.loadAverage = machine_.loadAverage();
-    report.sampleTime = sim_.now();
-    report.residentMB = machine_.residentMB();
-    send(wire::MessageType::kLoadReport, wire::encode(report));
-  }
-  scheduleReportTimer();
+void NetServerDaemon::failed(const std::string& server, std::uint64_t taskId,
+                             std::string_view reason) {
+  wire::TaskFailedMsg msg;
+  msg.taskId = taskId;
+  msg.serverName = server;
+  msg.reason = reason;
+  send(wire::MessageType::kTaskFailed, wire::encode(msg));
+}
+
+void NetServerDaemon::loadReport(const std::string& server, double load,
+                                 simcore::SimTime sampleTime) {
+  wire::LoadReportMsg report;
+  report.serverName = server;
+  report.loadAverage = load;
+  report.sampleTime = sampleTime;
+  send(wire::MessageType::kLoadReport, wire::encode(report));
+}
+
+void NetServerDaemon::down(const std::string& server) {
+  send(wire::MessageType::kServerDown, wire::encode(wire::ServerDownMsg{server}));
+}
+
+void NetServerDaemon::up(const std::string& server) {
+  send(wire::MessageType::kServerUp, wire::encode(wire::ServerUpMsg{server}));
 }
 
 void NetServerDaemon::sendHeartbeat() {
-  heartbeatTimer_ = {};
   wire::HeartbeatMsg beat;
   beat.serverName = name();
   beat.sampleTime = sim_.now();
   send(wire::MessageType::kHeartbeat, wire::encode(beat));
-  scheduleHeartbeatTimer();
-}
-
-void NetServerDaemon::scheduleReportTimer() {
-  if (leaving_) return;
-  reportTimer_ = sim_.scheduleAfter(config_.reportPeriod, [this] { sendLoadReport(); });
-}
-
-void NetServerDaemon::scheduleHeartbeatTimer() {
-  if (left_) return;
-  heartbeatTimer_ =
-      sim_.scheduleAfter(config_.heartbeatPeriod, [this] { sendHeartbeat(); });
-}
-
-void NetServerDaemon::sendTaskFailed(std::uint64_t taskId, const std::string& reason) {
-  wire::TaskFailedMsg failed;
-  failed.taskId = taskId;
-  failed.serverName = name();
-  failed.reason = reason;
-  send(wire::MessageType::kTaskFailed, wire::encode(failed));
+  if (!left_) sim_.scheduleAfter(config_.heartbeatPeriod, [this] { sendHeartbeat(); });
 }
 
 void NetServerDaemon::send(wire::MessageType type, const wire::Bytes& payload) {
@@ -271,22 +228,13 @@ void NetServerDaemon::send(wire::MessageType type, const wire::Bytes& payload) {
 void NetServerDaemon::leave() {
   if (leaving_ || left_) return;
   leaving_ = true;
-  wire::ServerDownMsg down;
-  down.serverName = name();
-  send(wire::MessageType::kServerDown, wire::encode(down));
-  // Load reports stop (the server takes no new work), but heartbeats keep
-  // flowing until the drain finishes and the link closes - a long drain must
-  // not trip the agent's missed-report deadline while completions are still
-  // coming. Once closed, the silence retires the row, the live equivalent of
-  // the simulator's deregisterServer.
-  if (reportTimer_.valid()) {
-    sim_.cancel(reportTimer_);
-    reportTimer_ = {};
-  }
-}
-
-bool NetServerDaemon::crash(double downtime) {
-  return machine_.forceCollapse(downtime);
+  down(name());
+  // Load reports and noise stop (the server takes no new work), but
+  // heartbeats keep flowing until the drain finishes and the link closes - a
+  // long drain must not trip the agent's missed-report deadline while
+  // completions are still coming. Once closed, the silence retires the row,
+  // the live equivalent of the simulator's deregisterServer.
+  node_.quiesce();
 }
 
 }  // namespace casched::net

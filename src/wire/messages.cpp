@@ -221,7 +221,6 @@ Bytes encode(const LoadReportMsg& m) {
   w.str(m.serverName);
   w.f64(m.loadAverage);
   w.f64(m.sampleTime);
-  w.f64(m.residentMB);
   return out;
 }
 
@@ -231,7 +230,6 @@ LoadReportMsg decodeLoadReport(const Bytes& payload) {
   m.serverName = r.str();
   m.loadAverage = r.f64();
   m.sampleTime = r.f64();
-  m.residentMB = r.f64();
   return m;
 }
 
@@ -297,7 +295,6 @@ Bytes encode(const AgentHelloMsg& m) {
   Bytes out;
   Writer w(out);
   w.str(m.agentName);
-  w.str(m.mode);
   w.f64(m.sampleTime);
   writeStringList(w, m.ownedServers);
   w.u16(m.listenPort);
@@ -308,7 +305,6 @@ AgentHelloMsg decodeAgentHello(const Bytes& payload) {
   Reader r(payload);
   AgentHelloMsg m;
   m.agentName = r.str();
-  m.mode = r.str();
   m.sampleTime = r.f64();
   m.ownedServers = readStringList(r);
   m.listenPort = r.u16();

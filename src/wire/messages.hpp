@@ -23,9 +23,10 @@ namespace casched::wire {
 /// count; v5 adds the integrity layer: a CRC32 trailer on every frame and
 /// the magic + schema-hash connect handshake (kSchemaHello); v6 drops v5's
 /// multi-message envelope (type 25), so every frame carries exactly one
-/// message. Peers speaking another version are rejected with a typed error
-/// naming both versions.
-constexpr std::uint16_t kProtocolVersion = 6;
+/// message; v7 drops two fields no receiver read, the hello's replication
+/// mode and the load report's resident memory. Peers speaking another version
+/// are rejected with a typed error naming both versions.
+constexpr std::uint16_t kProtocolVersion = 7;
 
 enum class MessageType : std::uint16_t {
   kRegister = 1,       ///< server -> agent: problems + peak performances
@@ -40,7 +41,7 @@ enum class MessageType : std::uint16_t {
   kServerUp = 10,      ///< server -> agent (recovery / re-registration)
   kShutdown = 11,      ///< orderly teardown
   kHeartbeat = 12,     ///< server -> agent: liveness beacon between reports
-  kAgentHello = 13,    ///< agent -> agent: peer registration (name, mode, owned servers)
+  kAgentHello = 13,    ///< agent -> agent: peer registration (name, owned servers)
   kAgentSync = 14,     ///< agent -> agent: load digests + HTM snapshot chunk
   kStatsRequest = 15,  ///< operator -> agent: metrics snapshot, please
   kStatsReply = 16,    ///< agent -> operator: rendered metrics snapshot
@@ -79,7 +80,7 @@ constexpr std::uint64_t fnv1a64(const char* s) {
 /// changes kSchemaHash and makes mismatched builds reject each other at
 /// connect time instead of mis-decoding each other's frames.
 constexpr char kSchemaDefinition[] =
-    "v6;"
+    "v7;"
     "register{str server;f64 bwIn,bwOut,latIn,latOut,ram,swap,speed;str[] problems};"
     "registerAck{str server;u8 accepted;f64 agentTime};"
     "scheduleRequest{u64 task;str problem;f64 in,out,mem,ref};"
@@ -87,10 +88,10 @@ constexpr char kSchemaDefinition[] =
     "taskSubmit{u64 task;str problem;f64 in,cpu,out,mem};"
     "taskComplete{u64 task;str server;f64 completion,unloaded};"
     "taskFailed{u64 task;str server,reason};"
-    "loadReport{str server;f64 load,sample,resident};"
+    "loadReport{str server;f64 load,sample};"
     "serverDown{str server};serverUp{str server};shutdown{str reason};"
     "heartbeat{str server;f64 sample};"
-    "agentHello{str agent,mode;f64 sample;str[] owned;u16 port};"
+    "agentHello{str agent;f64 sample;str[] owned;u16 port};"
     "agentSync{str agent;f64 sample;digest[]{str server;f64 load,sample};"
     "u64 seq;u32 chunkIndex,chunkCount;bytes chunk;u32 queued};"
     "statsRequest{str format};statsReply{str agent;f64 sample;str format,body};"
@@ -170,7 +171,6 @@ struct LoadReportMsg {
   std::string serverName;
   double loadAverage = 0.0;
   double sampleTime = 0.0;
-  double residentMB = 0.0;
 };
 
 struct ServerDownMsg {
@@ -195,8 +195,6 @@ struct HeartbeatMsg {
 /// accepting agent answers with its own hello on the same connection.
 struct AgentHelloMsg {
   std::string agentName;
-  /// Replication mode the sender runs under: "replicated" | "partitioned".
-  std::string mode;
   double sampleTime = 0.0;
   /// Servers currently registered with (owned by) the sender.
   std::vector<std::string> ownedServers;

@@ -164,7 +164,7 @@ struct LiveWorld {
     const char* names[] = {"alpha", "beta", "gamma"};
     for (std::size_t s = 0; s < 3; ++s) {
       net::NetServerConfig serverConfig;
-      serverConfig.agentPort = agent->port();
+      serverConfig.agentPorts = {agent->port()};
       serverConfig.machine.name = names[s];
       serverConfig.speedIndex = speeds[s];
       auto server = std::make_unique<net::NetServerDaemon>(serverConfig, clock);

@@ -1,8 +1,12 @@
 // Tests of the middleware: agent registration, NetSolve's load-correction
 // mechanisms, scheduling flow, completion/failure notifications, fault
-// tolerance, server collapse handling and small end-to-end runs.
+// tolerance, server collapse handling and small end-to-end runs, plus the
+// server node's output order against a recording sink.
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -246,6 +250,90 @@ TEST(System, MemoryAwareAvoidsCollapseWhereMsfCollapses) {
   const auto guarded = runExperimentSystem(bed, mt, "ma-hmct", cfg);
   EXPECT_EQ(guarded.servers.at("server-0").collapses, 0u);
   EXPECT_EQ(guarded.completedCount(), 8u);
+}
+
+/// Records a server node's outputs in order.
+struct RecordingSink final : ServerSink {
+  std::vector<std::string> log;
+  void completed(const std::string&, std::uint64_t taskId, simcore::SimTime,
+                 double) override {
+    log.push_back("completed " + std::to_string(taskId));
+  }
+  void failed(const std::string&, std::uint64_t taskId,
+              std::string_view reason) override {
+    log.push_back("failed " + std::to_string(taskId) + " (" + std::string(reason) + ")");
+  }
+  void loadReport(const std::string&, double, simcore::SimTime) override {
+    log.push_back("report");
+  }
+  void down(const std::string&) override { log.push_back("down"); }
+  void up(const std::string&) override { log.push_back("up"); }
+};
+
+psched::MachineSpec smallMachine() {
+  psched::MachineSpec spec;
+  spec.name = "node";
+  spec.latencyIn = 0.0;
+  spec.latencyOut = 0.0;
+  spec.ramMB = 100.0;
+  spec.swapMB = 0.0;
+  spec.recoverySeconds = 50.0;
+  return spec;
+}
+
+psched::ExecRequest cpuTask(std::uint64_t taskId, double cpuSeconds, double memMB) {
+  return {taskId, 0.0, cpuSeconds, 0.0, memMB};
+}
+
+TEST(ServerNode, SubmitToADownMachineFailsExactlyOnce) {
+  simcore::Simulator sim;
+  RecordingSink sink;
+  ServerNode node(sim, smallMachine(), {}, sink);
+  ASSERT_TRUE(node.crash(100.0));
+  node.submitTask(7, cpuTask(7, 10.0, 1.0));
+  EXPECT_EQ(sink.log, (std::vector<std::string>{"down", "failed 7 (server down)"}));
+}
+
+TEST(ServerNode, CollapsingAdmissionReportsDownThenVictimsThenTheSubmitter) {
+  simcore::Simulator sim;
+  RecordingSink sink;
+  ServerNode node(sim, smallMachine(), {}, sink);
+  node.submitTask(1, cpuTask(1, 10.0, 40.0));
+  node.submitTask(2, cpuTask(2, 10.0, 40.0));
+  EXPECT_TRUE(sink.log.empty());
+  node.submitTask(3, cpuTask(3, 10.0, 40.0));  // 120 MB > 100 MB RAM, no swap
+  EXPECT_EQ(sink.log, (std::vector<std::string>{"down", "failed 1 (server collapsed)",
+                                                "failed 2 (server collapsed)",
+                                                "failed 3 (submission rejected)"}));
+  sim.run();
+  EXPECT_EQ(sink.log.back(), "up");
+  EXPECT_DOUBLE_EQ(sim.now(), 50.0);
+}
+
+TEST(ServerNode, QuiesceStopsReportsAndNoiseButInFlightTasksComplete) {
+  simcore::Simulator sim;
+  RecordingSink sink;
+  ServerNodeConfig config;
+  config.reportPeriod = 10.0;
+  config.cpuNoise.amplitude = 0.2;
+  config.linkNoise.amplitude = 0.2;
+  config.noiseSeed = 5;
+  ServerNode node(sim, smallMachine(), config, sink);
+  node.start();
+  node.submitTask(1, cpuTask(1, 100.0, 1.0));
+  sim.run(35.0);
+  EXPECT_EQ(sink.log, (std::vector<std::string>{"report", "report", "report"}));
+  EXPECT_NE(node.cpuNoiseFactor(), 1.0);
+  EXPECT_NE(node.linkNoiseFactor(), 1.0);
+
+  node.quiesce();
+  EXPECT_EQ(node.cpuNoiseFactor(), 1.0);
+  EXPECT_EQ(node.linkNoiseFactor(), 1.0);
+  sim.run();  // drains: no report or noise event is left to reschedule itself
+  EXPECT_TRUE(sim.empty());
+  EXPECT_EQ(sink.log.back(), "completed 1");
+  EXPECT_EQ(sink.log.size(), 4u);
+  EXPECT_EQ(node.cpuNoiseFactor(), 1.0);
 }
 
 }  // namespace

@@ -18,8 +18,10 @@
 #include <ctime>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "net/agent_daemon.hpp"
@@ -74,7 +76,7 @@ TEST(NetRuntime, RegistrationOverTcp) {
   AgentDaemon agent(agentConfig, clock);
 
   NetServerConfig serverConfig;
-  serverConfig.agentPort = agent.port();
+  serverConfig.agentPorts = {agent.port()};
   serverConfig.machine.name = "alpha";
   NetServerDaemon server(serverConfig, clock);
   server.connect();
@@ -142,7 +144,7 @@ TEST(NetRuntime, LiveNameCollisionIsRejected) {
   AgentDaemon agent(agentConfig, clock);
 
   NetServerConfig serverConfig;
-  serverConfig.agentPort = agent.port();
+  serverConfig.agentPorts = {agent.port()};
   serverConfig.machine.name = "taken";
   NetServerDaemon original(serverConfig, clock);
   original.connect();
@@ -169,7 +171,7 @@ TEST(NetRuntime, HeartbeatTimeoutRetiresSilentServer) {
   AgentDaemon agent(agentConfig, clock);
 
   NetServerConfig serverConfig;
-  serverConfig.agentPort = agent.port();
+  serverConfig.agentPorts = {agent.port()};
   serverConfig.machine.name = "ghost";
   serverConfig.heartbeatPeriod = 2.0;
   NetServerDaemon server(serverConfig, clock);
@@ -203,7 +205,7 @@ TEST(NetRuntime, ReconnectAfterRetirementRevivesServer) {
   AgentDaemon agent(agentConfig, clock);
 
   NetServerConfig serverConfig;
-  serverConfig.agentPort = agent.port();
+  serverConfig.agentPorts = {agent.port()};
   serverConfig.machine.name = "phoenix";
   {
     NetServerDaemon first(serverConfig, clock);
@@ -233,7 +235,7 @@ TEST(NetRuntime, CrashMidTaskTriggersResubmissionOverTheWire) {
   AgentDaemon agent(agentConfig, clock);
 
   NetServerConfig configA;
-  configA.agentPort = agent.port();
+  configA.agentPorts = {agent.port()};
   configA.machine.name = "doomed";
   NetServerDaemon serverA(configA, clock);
   serverA.connect();
@@ -262,7 +264,7 @@ TEST(NetRuntime, CrashMidTaskTriggersResubmissionOverTheWire) {
 
   // A second server joins, then the first crashes with both tasks in flight.
   NetServerConfig configB;
-  configB.agentPort = agent.port();
+  configB.agentPorts = {agent.port()};
   configB.machine.name = "rescue";
   NetServerDaemon serverB(configB, clock);
   serverB.connect();
@@ -294,7 +296,7 @@ TEST(NetRuntime, GracefulLeaveDrainsTasksLongerThanHeartbeatTimeout) {
   AgentDaemon agent(agentConfig, clock);
 
   NetServerConfig serverConfig;
-  serverConfig.agentPort = agent.port();
+  serverConfig.agentPorts = {agent.port()};
   serverConfig.machine.name = "leaver";
   serverConfig.heartbeatPeriod = 2.0;
   NetServerDaemon server(serverConfig, clock);
@@ -339,7 +341,7 @@ TEST(NetRuntime, LeaverDyingMidDrainFallsBackToResubmission) {
   AgentDaemon agent(agentConfig, clock);
 
   NetServerConfig configB;
-  configB.agentPort = agent.port();
+  configB.agentPorts = {agent.port()};
   configB.machine.name = "backup";
   NetServerDaemon serverB(configB, clock);
 
@@ -349,7 +351,7 @@ TEST(NetRuntime, LeaverDyingMidDrainFallsBackToResubmission) {
 
   {
     NetServerConfig configA;
-    configA.agentPort = agent.port();
+    configA.agentPorts = {agent.port()};
     configA.machine.name = "quitter";
     NetServerDaemon serverA(configA, clock);
     serverA.connect();
@@ -407,13 +409,13 @@ TEST(NetRuntime, DeadServerProcessAbandonsTasksToResubmission) {
   ClientDriver client(clientConfig, clock);
 
   NetServerConfig configB;
-  configB.agentPort = agent.port();
+  configB.agentPorts = {agent.port()};
   configB.machine.name = "survivor";
   NetServerDaemon serverB(configB, clock);
 
   {
     NetServerConfig configA;
-    configA.agentPort = agent.port();
+    configA.agentPorts = {agent.port()};
     configA.machine.name = "vanisher";
     NetServerDaemon serverA(configA, clock);
     serverA.connect();
@@ -599,6 +601,70 @@ TEST(NetRuntime, TraceDrivenFaultsReplayIdenticallyLiveAndSimulated) {
   EXPECT_EQ(live.lost, sim.lostCount());
   EXPECT_EQ(live.lost, 0u);
   EXPECT_EQ(live.completed, compiled.metatask.size());
+}
+
+TEST(NetRuntime, LiveServersDrawTheSimulatedNoiseFactors) {
+  // The loopback harness configures each server as the simulator does, so at
+  // one seed every live server redraws the CPU and link noise factors of its
+  // simulated twin, window by window. Both timelines start at sim time 0.
+  const scenario::CompiledScenario compiled =
+      scenario::compileScenario(scenario::findScenario("paper/table7_wastecpu_low"), 1);
+  const cas::SystemConfig& system = compiled.system;
+  ASSERT_GT(system.cpuNoise.amplitude, 0.0);
+  ASSERT_GT(system.linkNoise.amplitude, 0.0);
+  ASSERT_EQ(system.cpuNoise.period, system.linkNoise.period);
+  const double period = system.cpuNoise.period;
+  const std::vector<psched::MachineSpec>& specs = compiled.testbed.servers;
+  constexpr std::size_t kWindows = 8;
+  using Factors = std::pair<double, double>;  // cpu, link
+
+  cas::GridSystem grid(compiled.testbed, compiled.metatask, "msf", system);
+  std::vector<std::vector<Factors>> simulated(specs.size());
+  for (std::size_t k = 0; k < kWindows; ++k) {
+    grid.simulator().advanceTo((static_cast<double>(k) + 0.5) * period);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const cas::ServerNode& node = grid.server(specs[i].name);
+      simulated[i].push_back({node.cpuNoiseFactor(), node.linkNoiseFactor()});
+    }
+  }
+
+  const PacedClock clock(100.0);
+  AgentDaemon agent(AgentDaemonConfig{}, clock);
+  std::vector<std::unique_ptr<NetServerDaemon>> servers;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    NetServerConfig config = loopbackServerConfig(system, i, specs[i], 1.0);
+    config.agentPorts = {agent.port()};
+    servers.push_back(std::make_unique<NetServerDaemon>(config, clock));
+    servers.back()->connect();
+  }
+  // Sampled after every turn; a stalled turn may skip a window, never
+  // mislabel one.
+  std::vector<std::set<std::size_t>> windowsSeen(specs.size());
+  std::vector<std::function<void()>> pumps{[&] { agent.runOnce(); }};
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    pumps.push_back([&, i] {
+      NetServerDaemon& server = *servers[i];
+      server.runOnce();
+      const auto k = static_cast<std::size_t>(server.simulator().now() / period);
+      if (k >= kWindows) return;
+      EXPECT_EQ(Factors(server.node().cpuNoiseFactor(), server.node().linkNoiseFactor()),
+                simulated[i][k])
+          << specs[i].name << " window " << k;
+      windowsSeen[i].insert(k);
+    });
+  }
+  ASSERT_TRUE(pumpUntil(
+      pumps,
+      [&] {
+        for (const auto& server : servers) {
+          if (server->simulator().now() < kWindows * period) return false;
+        }
+        return true;
+      },
+      10.0));
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_GE(windowsSeen[i].size(), kWindows / 2) << specs[i].name;
+  }
 }
 
 TEST(MultiAgent, MutualPeerConfigurationKeepsOneLinkPerPair) {
@@ -851,7 +917,6 @@ std::set<std::uint64_t> grantFromFakePeer(AgentDaemon& agent,
   auto peer = wire::TcpTransport::connect("127.0.0.1", agent.port());
   wire::AgentHelloMsg hello;
   hello.agentName = "fake-victim";
-  hello.mode = "partitioned";
   peer->send(wire::MessageType::kAgentHello, wire::encode(hello));
   wire::StealGrantMsg grant;
   grant.agentName = hello.agentName;
@@ -962,12 +1027,12 @@ TEST(NetRuntime, ResolverLearnsPeersAndReranksPastADeadAgent) {
   auto agentA = std::make_unique<AgentDaemon>(configA, clock);
 
   NetServerConfig serverConfigA;
-  serverConfigA.agentPort = agentA->port();
+  serverConfigA.agentPorts = {agentA->port()};
   serverConfigA.machine.name = "alpha";
   NetServerDaemon serverA(serverConfigA, clock);
   serverA.connect();
   NetServerConfig serverConfigB;
-  serverConfigB.agentPort = agentB->port();
+  serverConfigB.agentPorts = {agentB->port()};
   serverConfigB.machine.name = "bravo";
   NetServerDaemon serverB(serverConfigB, clock);
   serverB.connect();
@@ -1170,7 +1235,7 @@ TEST(TurnWait, IdleServerRunSleepsAndStopsPromptly) {
   const PacedClock clock(1.0);  // no report or heartbeat falls due in the window
   AgentDaemon agent(AgentDaemonConfig{}, clock);
   NetServerConfig serverConfig;
-  serverConfig.agentPort = agent.port();
+  serverConfig.agentPorts = {agent.port()};
   serverConfig.machine.name = "idle";
   NetServerDaemon server(serverConfig, clock);
   server.connect();

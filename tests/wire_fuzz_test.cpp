@@ -99,7 +99,6 @@ std::vector<FuzzTarget> fuzzTargets() {
   load.serverName = "artimon";
   load.loadAverage = 1.5;
   load.sampleTime = 60.0;
-  load.residentMB = 384.0;
   add("load-report", encode(load), decodeLoadReport);
 
   add("server-down", encode(ServerDownMsg{"artimon"}), decodeServerDown);
@@ -113,7 +112,6 @@ std::vector<FuzzTarget> fuzzTargets() {
 
   AgentHelloMsg hello;
   hello.agentName = "agent-1";
-  hello.mode = "partitioned";
   hello.sampleTime = 5.0;
   hello.ownedServers = {"artimon", "spinnaker"};
   hello.listenPort = 45123;

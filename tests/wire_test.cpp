@@ -139,10 +139,11 @@ TEST(Messages, TaskFailedRoundTrip) {
 }
 
 TEST(Messages, LoadReportRoundTrip) {
-  LoadReportMsg m{"pulney", 12.3, 456.7, 780.0};
+  LoadReportMsg m{"pulney", 12.3, 456.7};
   const auto back = decodeLoadReport(encode(m));
+  EXPECT_EQ(back.serverName, "pulney");
   EXPECT_DOUBLE_EQ(back.loadAverage, 12.3);
-  EXPECT_DOUBLE_EQ(back.residentMB, 780.0);
+  EXPECT_DOUBLE_EQ(back.sampleTime, 456.7);
 }
 
 TEST(Messages, ServerUpDownShutdownRoundTrip) {
@@ -185,12 +186,10 @@ TEST(Messages, StatsRoundTrip) {
 TEST(Messages, AgentHelloRoundTrip) {
   AgentHelloMsg m;
   m.agentName = "agent-1";
-  m.mode = "partitioned";
   m.sampleTime = 512.75;
   m.ownedServers = {"grid-1", "grid-3"};
   const AgentHelloMsg back = decodeAgentHello(encode(m));
   EXPECT_EQ(back.agentName, "agent-1");
-  EXPECT_EQ(back.mode, "partitioned");
   EXPECT_DOUBLE_EQ(back.sampleTime, 512.75);
   EXPECT_EQ(back.ownedServers, m.ownedServers);
 }
@@ -271,7 +270,7 @@ TEST(Framing, MultipleFramesInOneChunk) {
   Bytes stream;
   for (int i = 0; i < 5; ++i) {
     const Bytes frame = buildFrame(MessageType::kLoadReport,
-                                   encode(LoadReportMsg{serverName(i), 1.0 * i, 0, 0}));
+                                   encode(LoadReportMsg{serverName(i), 1.0 * i, 0}));
     stream.insert(stream.end(), frame.begin(), frame.end());
   }
   FrameDecoder dec;
@@ -378,7 +377,7 @@ TEST(Framing, CrcTrailerRejectsCorruptedPayload) {
   // Flip one payload byte: the CRC check must name the mismatch before any
   // message decode sees the corrupt bytes.
   Bytes frame = buildFrame(MessageType::kLoadReport,
-                           encode(LoadReportMsg{"grid-3", 2.5, 60.0, 512.0}));
+                           encode(LoadReportMsg{"grid-3", 2.5, 60.0}));
   frame[12] ^= 0x01;
   FrameDecoder dec;
   dec.feed(frame);
@@ -458,7 +457,7 @@ TEST(Loopback, BidirectionalDelivery) {
 TEST(Loopback, OrderPreserved) {
   auto [a, b] = LoopbackTransport::createPair();
   for (int i = 0; i < 10; ++i) {
-    a->send(MessageType::kLoadReport, encode(LoadReportMsg{"s", 1.0 * i, 0, 0}));
+    a->send(MessageType::kLoadReport, encode(LoadReportMsg{"s", 1.0 * i, 0}));
   }
   int next = 0;
   b->poll([&](Frame f) {
@@ -538,7 +537,7 @@ TEST(Handshake, TrafficBeforeHelloIsRejected) {
 TEST(Queue, FlushWritesEveryQueuedMessageInQueueOrder) {
   auto [a, b] = LoopbackTransport::createPair();
   for (int i = 0; i < 3; ++i) {
-    a->queue(MessageType::kLoadReport, encode(LoadReportMsg{"s", 1.0 * i, 0, 0}));
+    a->queue(MessageType::kLoadReport, encode(LoadReportMsg{"s", 1.0 * i, 0}));
   }
   a->queue(MessageType::kRegister, encode(RegisterMsg{}));
   for (int i = 0; i < 2; ++i) {
@@ -562,7 +561,7 @@ void expectBurstArrivesInOrder(Transport& a, Transport& b, int count) {
     const double mark = 1.0 * i;
     switch (i % 3) {
       case 0:
-        a.queue(MessageType::kLoadReport, encode(LoadReportMsg{"s", mark, 0, 0}));
+        a.queue(MessageType::kLoadReport, encode(LoadReportMsg{"s", mark, 0}));
         want.emplace_back(MessageType::kLoadReport, mark);
         break;
       case 1:
